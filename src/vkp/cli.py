@@ -1,8 +1,8 @@
 """Command-line front end: check, normalize, extract, prove.
 
 Exit codes: 0 success, 1 type/parse/precondition failure, 2 I/O or usage
-error.  VKP_BUDGET overrides the default reduction budget.  Files given to
-`check` are processed concurrently; declarations within a file in order.
+error.  VKP_BUDGET overrides the default reduction budget.  `check` reads
+its files in argv order and reports once all of them are read.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .syntax import CALCULI
 from .typecheck import TypeCheckError, check
@@ -20,7 +19,7 @@ from .normalize import (
     DEFAULT_BUDGET, BudgetExceeded, PreconditionViolation, eval_v,
     extract_disjunct, normalize_full, weak_head_normalize,
 )
-from .oracle import NotProvable, Provable, SearchBudgetExceeded, ipc_provable
+from .oracle import Provable, SearchBudgetExceeded, ipc_provable
 
 
 def _budget() -> int:
@@ -66,22 +65,16 @@ def _check_file(path: str, calculus: str | None) -> tuple[list[str], bool]:
 def _cmd_check(args) -> int:
     code = 0
     results = []
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(args.files)))) as pool:
-        futures = [pool.submit(_check_file, f, args.calculus) for f in args.files]
-        for path, fut in zip(args.files, futures):
-            try:
-                results.append((path, fut.result()))
-            except OSError as e:
-                print(f"vkp: cannot read {path}: {e}", file=sys.stderr)
-                return 2
-            except ParseError as e:
-                print(f"{path}: {e}", file=sys.stderr)
-                code = 1
-                results.append((path, None))
-    for path, res in results:
-        if res is None:
-            continue
-        lines, ok = res
+    for path in args.files:
+        try:
+            results.append(_check_file(path, args.calculus))
+        except OSError as e:
+            print(f"vkp: cannot read {path}: {e}", file=sys.stderr)
+            return 2
+        except ParseError as e:
+            print(f"{path}: {e}", file=sys.stderr)
+            code = 1
+    for lines, ok in results:
         for line in lines:
             print(line)
         if not ok:
@@ -194,8 +187,6 @@ def _parser() -> argparse.ArgumentParser:
         description="Proof-term kernel for intuitionistic logic "
                     "with admissible-rule constructs.",
     )
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized operations (reproducibility)")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("check", help="type-check every declaration in each file")

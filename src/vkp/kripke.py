@@ -54,14 +54,6 @@ def forces(model: KripkeModel, w: int, a: Formula) -> bool:
     raise TypeError(f"not a formula: {a!r}")
 
 
-def forcing_monotone(model: KripkeModel, a: Formula) -> bool:
-    """Forced at w stays forced at every world above w."""
-    for u, v in model.order:
-        if forces(model, u, a) and not forces(model, v, a):
-            return False
-    return True
-
-
 def is_valid_model(model: KripkeModel) -> bool:
     """Rooted partial order with up-closed valuations."""
     o = model.order

@@ -1,7 +1,16 @@
 """Normalization strategies and disjunct extraction.
 
-Full normalization contracts the head spine first, then recurses into
-subterms leftmost first, under binders included.  Every strategy counts
+Full normalization (normalize_full, eval_ipc, normalize_kp, and eval_v
+after each rebuilt node) goes through one loop, _run: an iterative
+leftmost-outermost walk that contracts the first redex in preorder (the
+head spine first, then the children left to right, under binders
+included).  The walk keeps an explicit stack of frames instead of
+recursing, so the depth of a redex is not limited by the interpreter's
+recursion limit; substitution and inference still recurse over the
+subterms they touch.  A contraction can only turn ancestors reached
+through child-0 links into redexes, so after one the walk backs up over
+those frames only and carries on; nothing to its left is scanned again.
+weak_head_normalize iterates the KP head step.  Every strategy counts
 steps against a budget and refuses to return a truncated term.
 
 eval_v is the structural evaluator taking a well-typed V term to a normal
@@ -14,7 +23,7 @@ from __future__ import annotations
 
 from .syntax import (
     Abs, App, Case, Disj, Exfalso, Harrop, Inj, Pair, Proj, Term,
-    TypingContext, Var, Visser, children, free_vars, replace_at, substitute,
+    TypingContext, Var, Visser, children, free_vars, substitute, with_children,
 )
 from .typecheck import TypeCheckError, infer
 from .reduction import (
@@ -47,44 +56,72 @@ class _Budget:
         self.limit = limit
         self.used = 0
 
-    def spend(self, last: Term):
-        if self.used >= self.limit:
-            raise BudgetExceeded(last, self.used)
-        self.used += 1
+
+def _with_child(t: Term, i: int, c: Term) -> Term:
+    cs = children(t)
+    if cs[i] is c:
+        return t
+    return with_children(t, cs[:i] + (c,) + cs[i + 1:])
 
 
-def _next_redex(t: Term, ctx: TypingContext, calculus: str, thread: bool):
-    """Leftmost-outermost position: head spine first, then children in order.
+def _plug(stack: list, t: Term) -> Term:
+    """The whole term: t put back through every frame, innermost first."""
+    for parent, i, _ in reversed(stack):
+        t = _with_child(parent, i, t)
+    return t
 
-    Returns (path, rule, local reduct) or None.
+
+def _run(
+    t: Term,
+    meter: _Budget,
+    calculus: str = "IPC",
+    ctx: TypingContext | None = None,
+    trace: list[TraceStep] | None = None,
+    thread: bool = False,
+) -> Term:
+    """Contract the first redex in preorder until none is left.
+
+    Each frame is (parent, child index, parent's context); a parent is
+    current in every child but the one the walk is in.  `thread`, which
+    must be set only while the term holds a hop, passes binder types down
+    to every child (only hop contractions read them); visser and hop main
+    premises get theirs regardless.
     """
-    cur = t
-    cctx = ctx
-    path: tuple[int, ...] = ()
+    stack: list[tuple[Term, int, TypingContext]] = []
+    cur, cctx, whole = t, ctx or {}, t
     while True:
         r = step_top_named(cur, calculus, cctx)
         if r is not None:
-            return path, r[1], r[0]
-        if isinstance(cur, (App, Proj, Case)):
-            path = path + (0,)
-            cur = children(cur)[0]
-        elif isinstance(cur, Harrop):
-            cctx = child_context(cur, 0, cctx, calculus)
-            path = path + (0,)
-            cur = children(cur)[0]
+            if meter.used >= meter.limit:
+                raise BudgetExceeded(_plug(stack, cur), meter.used)
+            meter.used += 1
+            cur, rule = r
+            if trace is not None:
+                after = _plug(stack, cur)
+                trace.append(TraceStep(tuple(i for _, i, _ in stack), rule, whole, after))
+                whole = after
+            if thread:  # a contraction adds no hop but may drop the last one
+                thread = contains_hop(_plug(stack, cur))
+            # only ancestors reached through child-0 links can have become redexes
+            while stack and stack[-1][1] == 0:
+                parent, _, cctx = stack.pop()
+                cur = _with_child(parent, 0, cur)
+            continue
+        # no redex here: enter the first child, or climb to the next sibling
+        parent, i, pctx = cur, -1, cctx
+        while i + 1 == len(children(parent)):
+            if not stack:
+                return parent
+            done = parent
+            parent, i, pctx = stack.pop()
+            parent = _with_child(parent, i, done)
+        i += 1
+        stack.append((parent, i, pctx))
+        cur = children(parent)[i]
+        if thread or i == 0 and isinstance(parent, (Visser, Harrop)):
+            cctx = child_context(parent, i, pctx, calculus)
         else:
-            break
-    return _congruence_redex(t, ctx, calculus, thread)
-
-
-def _congruence_redex(t: Term, ctx: TypingContext, calculus: str, thread: bool):
-    for i, c in enumerate(children(t)):
-        sub_ctx = child_context(t, i, ctx, calculus) if thread or isinstance(t, Visser) and i == 0 else ctx
-        r = _next_redex(c, sub_ctx, calculus, thread)
-        if r is not None:
-            path, rule, red = r
-            return (i,) + path, rule, red
-    return None
+            cctx = pctx
 
 
 def normalize_full(
@@ -97,16 +134,7 @@ def normalize_full(
     """Reduce to a term with no remaining contractions anywhere."""
     root_ctx = dict(ctx) if ctx else {}
     meter = _Budget(DEFAULT_BUDGET if budget is None else budget)
-    while True:
-        r = _next_redex(t, root_ctx, calculus, contains_hop(t))
-        if r is None:
-            return t
-        path, rule, red = r
-        meter.spend(t)
-        t2 = replace_at(t, path, red)
-        if trace is not None:
-            trace.append(TraceStep(path, rule, t, t2))
-        t = t2
+    return _run(t, meter, calculus, root_ctx, trace, contains_hop(t))
 
 
 def weak_head_normalize(
@@ -116,13 +144,16 @@ def weak_head_normalize(
     trace: list[TraceStep] | None = None,
 ) -> Term:
     """Iterate the deterministic KP head step until it sticks."""
-    meter = _Budget(DEFAULT_BUDGET if budget is None else budget)
+    limit = DEFAULT_BUDGET if budget is None else budget
+    used = 0
     while True:
         r = step_weak_head_named(t, ctx)
         if r is None:
             return t
+        if used >= limit:
+            raise BudgetExceeded(t, used)
+        used += 1
         whole, path, rule = r
-        meter.spend(t)
         if trace is not None:
             trace.append(TraceStep(path, rule, t, whole))
         t = whole
@@ -176,16 +207,6 @@ def eval_v(t: Term, ctx: TypingContext | None = None, budget: int | None = None)
     return _ev(t, meter)
 
 
-def _nf_ipc(t: Term, meter: _Budget) -> Term:
-    while True:
-        r = _next_redex(t, {}, "IPC", False)
-        if r is None:
-            return t
-        path, _, red = r
-        meter.spend(t)
-        t = replace_at(t, path, red)
-
-
 def _ev(t: Term, meter: _Budget) -> Term:
     match t:
         case Var():
@@ -197,32 +218,30 @@ def _ev(t: Term, meter: _Budget) -> Term:
         case Pair(a, b):
             return Pair(_ev(a, meter), _ev(b, meter))
         case App(f, a):
-            return _nf_ipc(App(_ev(f, meter), _ev(a, meter)), meter)
+            return _run(App(_ev(f, meter), _ev(a, meter)), meter)
         case Proj(i, a):
-            return _nf_ipc(Proj(i, _ev(a, meter)), meter)
+            return _run(Proj(i, _ev(a, meter)), meter)
         case Inj(i, o, a):
-            return _nf_ipc(Inj(i, o, _ev(a, meter)), meter)
+            return _run(Inj(i, o, _ev(a, meter)), meter)
         case Case(sc, y, b1, b2):
-            return _nf_ipc(
-                Case(_ev(sc, meter), y, _ev(b1, meter), _ev(b2, meter)), meter
-            )
+            return _run(Case(_ev(sc, meter), y, _ev(b1, meter), _ev(b2, meter)), meter)
         case Visser(bs, m, y, b1, b2, z, us):
             em = _ev(m, meter)
             d = decompose(em)
             match d:
                 case InjectionHead(i, p):
                     branch = _ev(b1 if i == 1 else b2, meter)
-                    return _nf_ipc(substitute(branch, y, _lams(bs, p)), meter)
+                    return _run(substitute(branch, y, _lams(bs, p)), meter)
                 case ExfalsoHead(_, p):
                     ty = infer(dict(bs), em, "IPC")
                     arg = _lams(bs, Exfalso(ty.left, p))
-                    return _nf_ipc(substitute(_ev(b1, meter), y, arg), meter)
+                    return _run(substitute(_ev(b1, meter), y, arg), meter)
                 case VarAppHead(_, v, a):
                     names = [n for n, _ in bs]
                     if v not in names:
                         raise InternalError(f"evaluated main premise headed by {v}")
                     u = _ev(us[names.index(v)], meter)
-                    return _nf_ipc(substitute(u, z, _lams(bs, a)), meter)
+                    return _run(substitute(u, z, _lams(bs, a)), meter)
             raise InternalError(
                 "evaluated visser main premise fits no head shape; "
                 "this contradicts the classification of normal forms"

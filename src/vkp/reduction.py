@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
-    Abs, App, Case, Exfalso, Formula, Harrop, Impl, Inj, Pair, Proj, Term,
+    Abs, App, Case, Exfalso, Harrop, Impl, Inj, Pair, Proj, Term,
     TypingContext, Var, Visser, children, replace_at, subterm_at, substitute,
     with_children,
 )
-from .typecheck import CalculusViolation, _curried, infer
+from .typecheck import CalculusViolation, TypeCheckError, _curried, infer
 
 RULE_NAMES = (
     "Beta", "Projection", "Case",
@@ -50,15 +50,6 @@ class CaseFrame:
     branch2: Term
 
 
-@dataclass(frozen=True)
-class HopMainFrame:
-    binder: str
-    annot: Formula
-    case_binder: str
-    branch1: Term
-    branch2: Term
-
-
 def _wrap(frame, t: Term) -> Term:
     match frame:
         case ArgFrame(a):
@@ -67,8 +58,6 @@ def _wrap(frame, t: Term) -> Term:
             return Proj(i, t)
         case CaseFrame(y, b1, b2):
             return Case(t, y, b1, b2)
-        case HopMainFrame(x, a, y, b1, b2):
-            return Harrop(x, a, t, y, b1, b2)
     raise TypeError(f"not a frame: {frame!r}")
 
 
@@ -81,23 +70,6 @@ class WeakHeadContext:
     def __post_init__(self):
         for f in self.frames:
             if not isinstance(f, (ArgFrame, ProjFrame, CaseFrame)):
-                raise ValueError(f"frame not allowed here: {f!r}")
-
-    def plug(self, t: Term) -> Term:
-        for f in reversed(self.frames):
-            t = _wrap(f, t)
-        return t
-
-
-@dataclass(frozen=True)
-class HopWeakHeadContext:
-    """Weak head frames extended with descent into hop main premises."""
-
-    frames: tuple
-
-    def __post_init__(self):
-        for f in self.frames:
-            if not isinstance(f, (ArgFrame, ProjFrame, CaseFrame, HopMainFrame)):
                 raise ValueError(f"frame not allowed here: {f!r}")
 
     def plug(self, t: Term) -> Term:
@@ -221,7 +193,13 @@ def step_top(t: Term, calculus: str = "IPC", ctx: TypingContext | None = None) -
 
 
 def contains_hop(t: Term) -> bool:
-    return isinstance(t, Harrop) or any(contains_hop(c) for c in children(t))
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, Harrop):
+            return True
+        stack.extend(children(s))
+    return False
 
 
 def child_context(t: Term, i: int, ctx: TypingContext, calculus: str) -> TypingContext:
@@ -380,7 +358,7 @@ def replay_step(step: TraceStep, calculus: str, ctx: TypingContext | None = None
         focus = subterm_at(step.before, step.path)
         local = context_along(step.before, step.path, root_ctx, calculus)
         r = step_top_named(focus, calculus, local)
-    except Exception:
+    except (IndexError, TypeCheckError):  # path off the term, or wrong calculus
         return False
     if r is None or r[1] != step.rule:
         return False

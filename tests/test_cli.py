@@ -24,7 +24,7 @@ def test_check_ok(capsys):
 def test_check_many_files_ordered(capsys):
     assert main(["check", IPC, HARROP, VISSER]) == 0
     out = capsys.readouterr().out
-    # report order follows argv order even though files run concurrently
+    # the report follows argv order
     assert out.index("identity") < out.index("harrop_principle")
     assert out.index("harrop_principle") < out.index("visser_inj")
 

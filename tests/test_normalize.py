@@ -1,6 +1,11 @@
 """Evaluators, the KP normalizer, budgets, traces, and extraction."""
 
+import sys
+from collections import Counter
+
 import pytest
+
+import vkp.normalize
 
 from vkp.gen import GenerationFailed, generate_typed
 from vkp.normalize import (
@@ -8,7 +13,9 @@ from vkp.normalize import (
     normalize_full, normalize_kp, weak_head_normalize,
 )
 from vkp.parser import parse_formula, parse_term
-from vkp.reduction import is_normal, replay_step, step_anywhere, step_weak_head
+from vkp.reduction import (
+    is_normal, replay_step, step_anywhere, step_weak_head, weak_head_redexes,
+)
 from vkp.syntax import (
     Abs, App, Atom, Case, Conj, Disj, Exfalso, FALSUM, Harrop, Impl, Inj,
     Pair, Proj, Var, Visser, alpha_eq, neg,
@@ -233,3 +240,101 @@ def test_consistency_no_closed_falsum_proof():
     with pytest.raises(GenerationFailed):
         generate_typed("KP", max_depth=6, atom_count=3, seed=0,
                        goal=FALSUM, closed=True)
+
+
+def test_full_steps_are_leftmost_outermost():
+    # each contraction is the first position step_anywhere lists (preorder)
+    steps = 0
+    for calc in ("IPC", "KP"):
+        for seed in range(40):
+            ctx, t, a = generate_typed(calc, max_depth=5, atom_count=3, seed=seed)
+            trace = []
+            normalize_full(t, calc, ctx, trace=trace)
+            for s in trace:
+                assert step_anywhere(s.before, calc, ctx)[0] == (s.path, s.after), seed
+            steps += len(trace)
+    assert steps > 100
+
+
+def test_weak_head_steps_match_spine_search():
+    steps = 0
+    for seed in range(60):
+        ctx, t, a = generate_typed("KP", max_depth=5, atom_count=3, seed=seed)
+        trace = []
+        nf = weak_head_normalize(t, ctx, trace=trace)
+        for s in trace:
+            assert weak_head_redexes(s.before, ctx)[0] == (s.path, s.after, s.rule), seed
+        assert weak_head_redexes(nf, ctx) == []
+        steps += len(trace)
+    assert steps > 20
+
+
+# ------------------------------------------- depth at the default limit
+
+
+@pytest.fixture
+def default_recursion_limit():
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(old)
+
+
+CHAIN_CTX = {"f": Impl(A, A), "y": A}
+
+
+def _chain(n, redex):
+    """f (R (f (R ... y))): n redexes, each contracting to its argument."""
+    e = Var("y")
+    for _ in range(n):
+        e = App(Var("f"), redex(e))
+    return e
+
+
+def _is_f_iterated(t, n) -> bool:
+    # iterative: dataclass == recurses, and these terms are deep
+    for _ in range(n):
+        if not (isinstance(t, App) and t.fun == Var("f")):
+            return False
+        t = t.arg
+    return t == Var("y")
+
+
+def test_deep_beta_chain(default_recursion_limit, monkeypatch):
+    rules = Counter()
+    contract = vkp.normalize.step_top_named
+
+    def counting(*args):
+        r = contract(*args)
+        if r is not None:
+            rules[r[1]] += 1
+        return r
+
+    monkeypatch.setattr(vkp.normalize, "step_top_named", counting)
+    t = _chain(2000, lambda e: App(Abs("x", A, Var("x")), e))
+    assert _is_f_iterated(normalize_full(t, "IPC", CHAIN_CTX), 2000)
+    assert rules == {"Beta": 2000}
+    with pytest.raises(BudgetExceeded) as e:
+        normalize_full(t, "IPC", CHAIN_CTX, budget=1999)
+    assert e.value.steps == 1999
+
+
+def test_deep_hop_chain(default_recursion_limit):
+    t = _chain(400, lambda e: Harrop("x", neg(B), Inj(1, A, Var("y")), "w", e, Var("y")))
+    trace = []
+    nf = normalize_full(t, "KP", CHAIN_CTX, trace=trace)
+    assert _is_f_iterated(nf, 400)
+    assert len(trace) == 400
+    assert {s.rule for s in trace} == {"Harrop-inj"}
+
+
+def test_no_binder_types_after_last_hop():
+    # once the last hop is contracted, nothing infers binder types, so an
+    # open term needs no context for its free variables (here g and y)
+    branch = Case(Var("g"), "z", App(Abs("k", A, Var("k")), Var("z")), Var("z"))
+    t = Harrop("x", neg(B), Inj(1, A, Var("y")), "w", branch, Var("y"))
+    trace = []
+    nf = normalize_full(t, "KP", trace=trace)
+    assert [s.rule for s in trace] == ["Harrop-inj", "Beta"]
+    assert nf == Case(Var("g"), "z", Var("z"), Var("z"))
+    assert nf == normalize_full(t, "KP", {"g": Disj(A, A), "y": A})

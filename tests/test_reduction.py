@@ -311,3 +311,13 @@ def test_replay_step():
     assert not replay_step(bad_rule, "IPC")
     bad_after = TraceStep((), "Beta", t, Var("b"))
     assert not replay_step(bad_after, "IPC")
+
+
+def test_replay_step_rejects_bad_path_and_calculus():
+    t = App(Abs("x", A, Var("x")), Var("a"))
+    assert not replay_step(TraceStep((1, 0), "Beta", t, Var("a")), "IPC")
+    assert not replay_step(TraceStep((2,), "Beta", t, Var("a")), "IPC")
+    hop = Harrop("x", neg(B), Inj(1, B, Var("a")), "y", Var("y"), Var("y"))
+    step = TraceStep((), "Harrop-inj", hop, Abs("x", neg(B), Var("a")))
+    assert replay_step(step, "KP", {"a": A})
+    assert not replay_step(step, "IPC", {"a": A})
