@@ -27,8 +27,8 @@ from .normalize import (
 )
 from .kripke import KripkeModel, find_countermodel, forces, is_valid_model
 from .oracle import (
-    ClassReport, ClassificationFailure, NotProvable, Provable,
-    SearchBudgetExceeded, classify, ipc_provable,
+    ClassReport, ClassificationFailure, NotProvable, Provable, classify,
+    ipc_provable,
 )
 from .gen import GenerationFailed, generate_typed, shrink_typed
 
@@ -42,7 +42,7 @@ __all__ = [
     "InternalError", "KripkeModel", "NotAConjunction", "NotADisjunction",
     "NotAnImplication", "NotProvable", "Pair", "ParseError",
     "PreconditionViolation", "Proj", "Provable", "RULE_NAMES",
-    "SearchBudgetExceeded", "Term", "TraceStep", "TypeCheckError",
+    "Term", "TraceStep", "TypeCheckError",
     "TypeMismatch", "TypingContext", "UnknownVariable", "Var", "Visser",
     "VisserOpenAssumption", "alpha_eq", "check", "checks", "classify",
     "decompose", "eval_ipc", "eval_v", "extract_disjunct",

@@ -1,8 +1,12 @@
 """Command-line front end: check, normalize, extract, prove.
 
-Exit codes: 0 success, 1 type/parse/precondition failure, 2 I/O or usage
-error.  VKP_BUDGET overrides the default reduction budget.  `check` reads
-its files in argv order and reports once all of them are read.
+Exit codes: 0 success; 1 a type, parse or precondition failure in a
+script, or an unprovable formula; 2 an I/O or usage error (an unreadable
+file, an unknown declaration name, an invalid VKP_BUDGET, a formula that
+does not parse).  VKP_BUDGET overrides the default reduction budget.
+`check` reads its files in argv order and reports once all of them are
+read.  `prove` always decides: it prints a checked proof term or a
+verified countermodel.
 """
 
 from __future__ import annotations
@@ -19,7 +23,11 @@ from .normalize import (
     DEFAULT_BUDGET, BudgetExceeded, PreconditionViolation, eval_v,
     extract_disjunct, normalize_full, weak_head_normalize,
 )
-from .oracle import Provable, SearchBudgetExceeded, ipc_provable
+from .oracle import Provable, ipc_provable
+
+
+class UsageError(Exception):
+    """A bad name or setting on the command line; exit 2."""
 
 
 def _budget() -> int:
@@ -32,7 +40,7 @@ def _budget() -> int:
             raise ValueError
         return n
     except ValueError:
-        raise SystemExit(f"vkp: VKP_BUDGET must be a positive integer, got {raw!r}")
+        raise UsageError(f"VKP_BUDGET must be a positive integer, got {raw!r}")
 
 
 def _read(path: str) -> str:
@@ -87,7 +95,7 @@ def _load_declaration(path: str, name: str):
     for d in script:
         if d.name == name:
             return d
-    raise SystemExit(f"vkp: no declaration named {name!r} in {path}")
+    raise UsageError(f"no declaration named {name!r} in {path}")
 
 
 def _cmd_normalize(args) -> int:
@@ -168,11 +176,7 @@ def _cmd_prove(args) -> int:
     except ParseError as e:
         print(f"vkp: {e}", file=sys.stderr)
         return 2
-    try:
-        result = ipc_provable(a)
-    except SearchBudgetExceeded as e:
-        print(f"vkp: {e}", file=sys.stderr)
-        return 2
+    result = ipc_provable(a)
     if isinstance(result, Provable):
         print(print_term(result.witness))
         return 0
@@ -221,7 +225,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.run(args)
-    except OSError as e:
+    except (OSError, UsageError) as e:
         print(f"vkp: {e}", file=sys.stderr)
         return 2
     except ParseError as e:

@@ -1,11 +1,17 @@
-"""Finite rooted Kripke models: forcing, monotonicity, countermodel search.
+"""Finite rooted Kripke models: forcing, the model check, gluing, and a
+bounded reference search.
 
 Models live on worlds 0..n-1 with world 0 the root and the order stored as
-a set of pairs.  The search enumerates rooted partial orders by size, so a
-numbered world only ever sits above lower-numbered ones; every rooted poset
-shows up that way after relabeling along a linear extension.  Valuations
-range over up-closed sets per atom, which keeps forcing monotone by
-construction.
+a set of pairs.  glue puts a new root below copies of several models; the
+prover (vkp.oracle) builds its countermodels that way from a failed
+search.
+
+find_countermodel is a brute-force reference that the prover does not
+use: it enumerates rooted partial orders by size, so a numbered world only
+ever sits above lower-numbered ones; every rooted poset shows up that way
+after relabeling along a linear extension.  Valuations range over
+up-closed sets per atom, which keeps forcing monotone by construction.  It
+gives up past max_worlds, so it serves only to cross-check small cases.
 """
 
 from __future__ import annotations
@@ -55,26 +61,51 @@ def forces(model: KripkeModel, w: int, a: Formula) -> bool:
 
 
 def is_valid_model(model: KripkeModel) -> bool:
-    """Rooted partial order with up-closed valuations."""
-    o = model.order
+    """Rooted partial order with up-closed valuations.
+
+    Each world's up-set is indexed once, so every check costs at most
+    worlds x pairs set operations.
+    """
     n = model.size
-    if any(not (0 <= u < n and 0 <= v < n) for u, v in o):
+    up: dict[int, set[int]] = {w: set() for w in range(n)}
+    for u, v in model.order:
+        if not (0 <= u < n and 0 <= v < n):
+            return False
+        up[u].add(v)
+    if any(w not in up[w] for w in range(n)):
         return False
-    if any((w, w) not in o for w in range(n)):
-        return False
-    if any((u, v) in o and (v, u) in o and u != v for u in range(n) for v in range(n)):
-        return False
-    for u, v in o:
-        for (v2, w) in o:
-            if v2 == v and (u, w) not in o:
-                return False
-    if any((0, w) not in o for w in range(n)):
+    for u, v in model.order:
+        if u != v and u in up[v]:
+            return False
+        if not up[v] <= up[u]:
+            return False
+    if len(up.get(0, ())) < n:
         return False
     for ws in model.valuation.values():
-        for w in ws:
-            if any(v not in ws for v in model.above(w)):
-                return False
+        if any(not up.get(w, set()) <= ws for w in ws):
+            return False
     return True
+
+
+def glue(atoms: list[str], models: list[KripkeModel]) -> KripkeModel:
+    """A new root w0 forcing exactly `atoms`, below a copy of each model.
+
+    The models' worlds are renumbered after the root, one model after the
+    other, and the root is put below every world.  The result is a model
+    when the root's atoms hold at the root of every model.
+    """
+    order = {(0, 0)}
+    valuation = {p: {0} for p in atoms}
+    n = 1
+    for m in models:
+        order |= {(u + n, v + n) for u, v in m.order}
+        for p, ws in m.valuation.items():
+            valuation.setdefault(p, set()).update(w + n for w in ws)
+        n += m.size
+    order |= {(0, w) for w in range(n)}
+    return KripkeModel(
+        n, frozenset(order), {p: frozenset(ws) for p, ws in valuation.items()}
+    )
 
 
 def atoms_of(a: Formula) -> set[str]:

@@ -1,10 +1,10 @@
 """Normalization strategies and disjunct extraction.
 
 Full normalization (normalize_full, eval_ipc, normalize_kp, and eval_v
-after each rebuilt node) goes through one loop, _run: an iterative
-leftmost-outermost walk that contracts the first redex in preorder (the
-head spine first, then the children left to right, under binders
-included).  The walk keeps an explicit stack of frames instead of
+at each rebuilt node that is a redex) goes through one loop, _run: an
+iterative leftmost-outermost walk that contracts the first redex in
+preorder (the head spine first, then the children left to right, under
+binders included).  The walk keeps an explicit stack of frames instead of
 recursing, so the depth of a redex is not limited by the interpreter's
 recursion limit; substitution and inference still recurse over the
 subterms they touch.  A contraction can only turn ancestors reached
@@ -207,6 +207,12 @@ def eval_v(t: Term, ctx: TypingContext | None = None, budget: int | None = None)
     return _ev(t, meter)
 
 
+def _renormalize(t: Term, meter: _Budget) -> Term:
+    """Normalize a node rebuilt from normal children: only a redex at its
+    root needs the walk."""
+    return t if step_top_named(t) is None else _run(t, meter)
+
+
 def _ev(t: Term, meter: _Budget) -> Term:
     match t:
         case Var():
@@ -218,13 +224,14 @@ def _ev(t: Term, meter: _Budget) -> Term:
         case Pair(a, b):
             return Pair(_ev(a, meter), _ev(b, meter))
         case App(f, a):
-            return _run(App(_ev(f, meter), _ev(a, meter)), meter)
+            return _renormalize(App(_ev(f, meter), _ev(a, meter)), meter)
         case Proj(i, a):
-            return _run(Proj(i, _ev(a, meter)), meter)
+            return _renormalize(Proj(i, _ev(a, meter)), meter)
         case Inj(i, o, a):
-            return _run(Inj(i, o, _ev(a, meter)), meter)
+            return Inj(i, o, _ev(a, meter))
         case Case(sc, y, b1, b2):
-            return _run(Case(_ev(sc, meter), y, _ev(b1, meter), _ev(b2, meter)), meter)
+            rebuilt = Case(_ev(sc, meter), y, _ev(b1, meter), _ev(b2, meter))
+            return _renormalize(rebuilt, meter)
         case Visser(bs, m, y, b1, b2, z, us):
             em = _ev(m, meter)
             d = decompose(em)

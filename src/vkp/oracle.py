@@ -16,8 +16,21 @@ four ways by the shape of its antecedent:
 
 Every premise is smaller in the multiset order of formula weights, so the
 search needs no fuel.  Positive answers carry a proof term that is checked
-in IPC before being returned; negative answers carry a finite rooted
-countermodel, found smallest first and verified against the formula.
+in IPC before being returned.
+
+A failed search is itself the countermodel (Pinto and Dyckhoff, "Loop-free
+construction of counter-models for intuitionistic propositional logic",
+1995).  Every failed call returns a finite rooted model whose root forces
+its hypotheses and refutes its goal.  The invertible rules pass a failed
+premise's model up unchanged, and so does a failed right premise
+B |- goal of a nested implication.  A sequent where every choice fails
+gets a new root forcing exactly its atoms, below the models of both goal
+disjuncts and of each nested implication's left premise.  That root
+refutes each disjunct, and it refutes each C -> D, since the left
+premise's root forces C and refutes D; so it forces every (C -> D) -> B.
+The model is checked against the formula before being returned.  It is
+not the smallest one: for A \\/ ~A it has 3 worlds, for the width-n
+disjunction about n * n.
 """
 
 from __future__ import annotations
@@ -31,17 +44,11 @@ from .syntax import (
 from .typecheck import TypeCheckError, check, infer
 from .reduction import ExfalsoHead, InjectionHead, VarAppHead, decompose, is_normal
 from .normalize import InternalError, PreconditionViolation
-from .kripke import KripkeModel, find_countermodel, forces, is_valid_model
+from .kripke import KripkeModel, atoms_of, forces, glue, is_valid_model
 
 
 class ClassificationFailure(Exception):
     """A normal form fit none of the promised shapes; kernel bug."""
-
-
-class SearchBudgetExceeded(Exception):
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
 
 
 # ------------------------------------------------------------ classification
@@ -135,8 +142,11 @@ class _Fresh:
         return f"h{self.k}"
 
 
-def _prove(hyps: list[tuple[str, Formula]], goal: Formula, fresh: _Fresh) -> Term | None:
-    """Backtracking search; returns a proof term over the hypothesis names."""
+def _prove(
+    hyps: list[tuple[str, Formula]], goal: Formula, fresh: _Fresh
+) -> Term | KripkeModel:
+    """Backtracking search: a proof term over the hypothesis names, or a
+    model whose root forces every hypothesis and refutes the goal."""
     for name, a in hyps:
         if a == goal and isinstance(a, (Atom, Falsum)):
             return Var(name)
@@ -151,34 +161,34 @@ def _prove(hyps: list[tuple[str, Formula]], goal: Formula, fresh: _Fresh) -> Ter
             case Conj(l, r):
                 n1, n2 = fresh(), fresh()
                 sub = _prove(rest + [(n1, l), (n2, r)], goal, fresh)
-                if sub is None:
-                    return None
+                if isinstance(sub, KripkeModel):
+                    return sub
                 sub = substitute(sub, n1, Proj(1, Var(name)))
                 return substitute(sub, n2, Proj(2, Var(name)))
             case Disj(l, r):
                 n = fresh()
                 sub1 = _prove(rest + [(n, l)], goal, fresh)
-                if sub1 is None:
-                    return None
+                if isinstance(sub1, KripkeModel):
+                    return sub1
                 sub2 = _prove(rest + [(n, r)], goal, fresh)
-                if sub2 is None:
-                    return None
+                if isinstance(sub2, KripkeModel):
+                    return sub2
                 return Case(Var(name), n, sub1, sub2)
             case Impl(Falsum(), _):
                 return _prove(rest, goal, fresh)
             case Impl(Conj(c, d), b):
                 n = fresh()
                 sub = _prove(rest + [(n, Impl(c, Impl(d, b)))], goal, fresh)
-                if sub is None:
-                    return None
+                if isinstance(sub, KripkeModel):
+                    return sub
                 xc, xd = fresh(), fresh()
                 realized = Abs(xc, c, Abs(xd, d, App(Var(name), Pair(Var(xc), Var(xd)))))
                 return substitute(sub, n, realized)
             case Impl(Disj(c, d), b):
                 n1, n2 = fresh(), fresh()
                 sub = _prove(rest + [(n1, Impl(c, b)), (n2, Impl(d, b))], goal, fresh)
-                if sub is None:
-                    return None
+                if isinstance(sub, KripkeModel):
+                    return sub
                 xc, xd = fresh(), fresh()
                 sub = substitute(sub, n1, Abs(xc, c, App(Var(name), Inj(1, d, Var(xc)))))
                 return substitute(sub, n2, Abs(xd, d, App(Var(name), Inj(2, c, Var(xd)))))
@@ -187,68 +197,74 @@ def _prove(hyps: list[tuple[str, Formula]], goal: Formula, fresh: _Fresh) -> Ter
                     if a2 == Atom(p):
                         n = fresh()
                         sub = _prove(rest + [(n, b)], goal, fresh)
-                        if sub is None:
-                            return None
+                        if isinstance(sub, KripkeModel):
+                            return sub
                         return substitute(sub, n, App(Var(name), Var(name2)))
 
     # invertible right rules
     match goal:
         case Conj(l, r):
             t1 = _prove(hyps, l, fresh)
-            if t1 is None:
-                return None
+            if isinstance(t1, KripkeModel):
+                return t1
             t2 = _prove(hyps, r, fresh)
-            if t2 is None:
-                return None
+            if isinstance(t2, KripkeModel):
+                return t2
             return Pair(t1, t2)
         case Impl(l, r):
             n = fresh()
             sub = _prove(hyps + [(n, l)], r, fresh)
-            if sub is None:
-                return None
+            if isinstance(sub, KripkeModel):
+                return sub
             return Abs(n, l, sub)
 
     # the genuine choice points: a goal disjunct, or a nested left implication
+    above: list[KripkeModel] = []  # the models of the failed choices
     if isinstance(goal, Disj):
         t1 = _prove(hyps, goal.left, fresh)
-        if t1 is not None:
+        if not isinstance(t1, KripkeModel):
             return Inj(1, goal.right, t1)
         t2 = _prove(hyps, goal.right, fresh)
-        if t2 is not None:
+        if not isinstance(t2, KripkeModel):
             return Inj(2, goal.left, t2)
+        above += [t1, t2]
+    refuted = None  # a failed right premise refutes this whole sequent
     for i, (name, a) in enumerate(hyps):
         match a:
             case Impl(Impl(c, d), b):
                 rest = hyps[:i] + hyps[i + 1:]
                 n = fresh()
                 arm = _prove(rest + [(n, Impl(d, b))], Impl(c, d), fresh)
-                if arm is None:
+                if isinstance(arm, KripkeModel):
+                    above.append(arm)
                     continue
                 xd, xc = fresh(), fresh()
                 realized = Abs(xd, d, App(Var(name), Abs(xc, c, Var(xd))))
                 arm = substitute(arm, n, realized)
                 v = fresh()
                 rest_t = _prove(rest + [(v, b)], goal, fresh)
-                if rest_t is None:
+                if isinstance(rest_t, KripkeModel):
+                    if refuted is None:
+                        refuted = rest_t
                     continue
                 return substitute(rest_t, v, App(Var(name), arm))
-    return None
+    if refuted is not None:
+        return refuted
+    return glue([a.name for _, a in hyps if isinstance(a, Atom)], above)
 
 
-def ipc_provable(a: Formula, max_worlds: int = 6) -> Provable | NotProvable:
+def ipc_provable(a: Formula) -> Provable | NotProvable:
     """Decide plain intuitionistic provability; both answers are self-checked."""
-    t = _prove([], a, _Fresh())
-    if t is not None:
-        try:
-            check({}, t, a, "IPC")
-        except TypeCheckError as e:
-            raise InternalError(f"search produced an ill-typed witness: {e}") from e
-        return Provable(t)
-    model = find_countermodel(a, max_worlds)
-    if model is None:
-        raise SearchBudgetExceeded(
-            f"unprovable, but no countermodel within {max_worlds} worlds", partial=a
-        )
-    if not is_valid_model(model) or forces(model, 0, a):
-        raise InternalError("countermodel search returned a bad model")
-    return NotProvable(model)
+    r = _prove([], a, _Fresh())
+    if isinstance(r, KripkeModel):
+        # list every atom of the formula, so the model names them all
+        val = {p: r.valuation.get(p, frozenset()) for p in sorted(atoms_of(a))}
+        model = KripkeModel(r.size, r.order, val)
+        if not is_valid_model(model) or forces(model, 0, a):
+            raise InternalError("the failed search built a bad countermodel")
+        return NotProvable(model)
+    try:
+        check({}, r, a, "IPC")
+    except TypeCheckError as e:
+        raise InternalError(f"search produced an ill-typed witness: {e}") from e
+    return Provable(r)

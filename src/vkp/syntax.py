@@ -18,29 +18,29 @@ class Formula:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Falsum(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Impl(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Conj(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Disj(Formula):
     left: Formula
     right: Formula
@@ -69,25 +69,25 @@ class Term:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App(Term):
     fun: Term
     arg: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Abs(Term):
     binder: str
     annot: Formula
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exfalso(Term):
     """Ex falso quodlibet; target records the type being produced."""
 
@@ -95,13 +95,13 @@ class Exfalso(Term):
     arg: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pair(Term):
     fst: Term
     snd: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proj(Term):
     index: int  # 1 or 2
     arg: Term
@@ -111,7 +111,7 @@ class Proj(Term):
             raise ValueError(f"projection index must be 1 or 2, got {self.index}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Inj(Term):
     """Injection into a disjunction; `other` is the absent disjunct."""
 
@@ -124,7 +124,7 @@ class Inj(Term):
             raise ValueError(f"injection index must be 1 or 2, got {self.index}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Case(Term):
     """Disjunction elimination; binder is shared by both branches."""
 
@@ -134,7 +134,7 @@ class Case(Term):
     branch2: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Visser(Term):
     """Case split on a disjunction proved from implication hypotheses alone.
 
@@ -172,7 +172,7 @@ class Visser(Term):
         return len(self.binders)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Harrop(Term):
     """Case split on a disjunction proved under one negated hypothesis."""
 

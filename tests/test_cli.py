@@ -2,9 +2,8 @@
 
 import json
 
-import pytest
-
 from vkp.cli import main
+from vkp.kripke import KripkeModel, forces, is_valid_model
 from vkp.parser import parse_formula, parse_term
 from vkp.reduction import TraceStep, replay_step
 from vkp.typecheck import check
@@ -107,9 +106,10 @@ def test_normalize_evalv_no_step_trace(capsys):
     assert "fun (x1 : B -> B) => x1" in out
 
 
-def test_normalize_missing_declaration():
-    with pytest.raises(SystemExit, match="no declaration named"):
-        main(["normalize", HARROP, "nonexistent"])
+def test_normalize_missing_declaration(capsys):
+    assert main(["normalize", HARROP, "nonexistent"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"vkp: no declaration named 'nonexistent' in {HARROP}\n"
 
 
 def test_budget_env(tmp_path, monkeypatch, capsys):
@@ -130,10 +130,11 @@ def test_budget_env(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.strip() == "fun (a : A) => a"
 
 
-def test_budget_env_rejects_garbage(monkeypatch):
+def test_budget_env_rejects_garbage(monkeypatch, capsys):
     monkeypatch.setenv("VKP_BUDGET", "zero")
-    with pytest.raises(SystemExit, match="positive integer"):
-        main(["normalize", IPC, "beta_demo"])
+    assert main(["normalize", IPC, "beta_demo"]) == 2
+    err = capsys.readouterr().err
+    assert err == "vkp: VKP_BUDGET must be a positive integer, got 'zero'\n"
 
 
 def test_extract(capsys):
@@ -164,3 +165,34 @@ def test_prove_non_theorem(capsys):
 def test_prove_parse_error(capsys):
     assert main(["prove", "A -> -> B"]) == 2
     assert "vkp:" in capsys.readouterr().err
+
+
+def _read_model(text):
+    """The KripkeModel that `describe` printed."""
+    lines = text.splitlines()
+    size = int(lines[0].split()[0])
+    order = {(w, w) for w in range(size)}
+    valuation = {}
+    for line in lines[1:]:
+        head, rest = line.split(maxsplit=1)  # "w0 <= w1 w2" or "A: {w1, w2}"
+        if rest.startswith("<="):
+            ups = [u for u in rest[2:].split() if u != "(none)"]
+            order |= {(int(head[1:]), int(u[1:])) for u in ups}
+        else:
+            ws = [x.strip() for x in rest.strip("{}").split(",") if x.strip()]
+            valuation[head.rstrip(":")] = frozenset(int(x[1:]) for x in ws)
+    return KripkeModel(size, frozenset(order), valuation)
+
+
+def test_prove_past_the_old_world_bound(capsys):
+    # the width-6 formula needs 7 worlds to refute
+    ps = [f"p{i}" for i in range(1, 7)]
+    disj = " \\/ "
+    text = disj.join(f"({p} -> {disj.join(q for q in ps if q != p)})" for p in ps)
+    assert main(["prove", text]) == 1
+    head, _, body = capsys.readouterr().out.partition("\n")
+    assert head == "not provable; countermodel:"
+    m = _read_model(body)
+    assert m.size >= 7 and set(m.valuation) == set(ps)
+    assert is_valid_model(m)
+    assert not forces(m, 0, parse_formula(text))

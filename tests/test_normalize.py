@@ -338,3 +338,20 @@ def test_no_binder_types_after_last_hop():
     assert [s.rule for s in trace] == ["Harrop-inj", "Beta"]
     assert nf == Case(Var("g"), "z", Var("z"), Var("z"))
     assert nf == normalize_full(t, "KP", {"g": Disj(A, A), "y": A})
+
+
+def test_eval_v_walks_only_rebuilt_redexes(monkeypatch):
+    # f (f (... y)) holds no redex: each rebuilt node is looked at once,
+    # instead of walking every normal subterm below it again
+    calls = 0
+    contract = vkp.normalize.step_top_named
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return contract(*args)
+
+    monkeypatch.setattr(vkp.normalize, "step_top_named", counting)
+    n = 300
+    assert _is_f_iterated(eval_v(_chain(n, lambda e: e), CHAIN_CTX), n)
+    assert calls <= 2 * n

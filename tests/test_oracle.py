@@ -1,17 +1,28 @@
-"""Normal-form classification, the provability decision, and the generator."""
+"""Normal-form classification, the provability decision, Kripke models,
+and the generator."""
+
+import random
+import time
 
 import pytest
 
+import vkp.oracle
+
 from vkp.gen import GenerationFailed, generate_typed, shrink_typed
-from vkp.kripke import find_countermodel, forces, is_valid_model
-from vkp.normalize import PreconditionViolation, eval_v, normalize_kp
+from vkp.kripke import (
+    KripkeModel, atoms_of, find_countermodel, forces, is_valid_model,
+)
+from vkp.normalize import (
+    InternalError, PreconditionViolation, eval_v, normalize_kp,
+)
 from vkp.oracle import (
     ClassificationFailure, NotProvable, Provable, classify, ipc_provable,
 )
 from vkp.parser import parse_formula
 from vkp.reduction import is_normal
 from vkp.syntax import (
-    Abs, App, Atom, Exfalso, FALSUM, Impl, Inj, Pair, Proj, Var, neg,
+    Abs, App, Atom, Conj, Disj, Exfalso, FALSUM, Impl, Inj, Pair, Proj, Var,
+    neg,
 )
 from vkp.typecheck import check, checks, infer
 
@@ -163,6 +174,120 @@ def test_harrop_shape_needs_four_worlds():
     assert m is not None and m.size == 4
     r = ipc_provable(a)
     assert isinstance(r, NotProvable)
+
+
+def _big_or(parts):
+    out = parts[-1]
+    for x in reversed(parts[:-1]):
+        out = Disj(x, out)
+    return out
+
+
+def _width(n):
+    """The disjunction over i of p_i -> (disjunction over j != i of p_j)."""
+    ps = [Atom(f"p{i}") for i in range(1, n + 1)]
+    return _big_or([Impl(ps[i], _big_or(ps[:i] + ps[i + 1:])) for i in range(n)])
+
+
+def _depth(n):
+    """p_n \\/ (p_n -> depth n-1), with depth 1 = p_1 \\/ ~p_1."""
+    f = Disj(Atom("p1"), neg(Atom("p1")))
+    for i in range(2, n + 1):
+        f = Disj(Atom(f"p{i}"), Impl(Atom(f"p{i}"), f))
+    return f
+
+
+def _refuted_in_time(a):
+    t0 = time.perf_counter()
+    r = ipc_provable(a)
+    assert time.perf_counter() - t0 < 1.0
+    assert isinstance(r, NotProvable)
+    m = r.countermodel
+    assert is_valid_model(m) and not forces(m, 0, a)
+    assert set(m.valuation) == atoms_of(a)
+    return m
+
+
+def test_width_family_refuted():
+    # width 6 and up need more than the 6 worlds find_countermodel allows
+    for n in range(2, 9):
+        assert _refuted_in_time(_width(n)).size > n
+
+
+def test_depth_family_refuted():
+    for n in range(1, 7):
+        assert _refuted_in_time(_depth(n)).size > n
+
+
+def _random_formula(rng, connectives):
+    if connectives == 0:
+        return FALSUM if rng.random() < 0.1 else Atom(rng.choice("pqr"))
+    left = rng.randint(0, connectives - 1)
+    op = rng.choice((Impl, Impl, Conj, Disj))
+    return op(_random_formula(rng, left),
+              _random_formula(rng, connectives - 1 - left))
+
+
+def test_prover_agrees_with_bounded_search():
+    rng = random.Random(2024)
+    answers = set()
+    for _ in range(300):
+        a = _random_formula(rng, rng.randint(1, 6))
+        r = ipc_provable(a)
+        m = find_countermodel(a, 3)
+        if isinstance(r, Provable):
+            assert m is None, a
+        else:
+            assert not forces(r.countermodel, 0, a), a
+        if m is not None:
+            assert isinstance(r, NotProvable), a
+        answers.add(type(r))
+    assert answers == {Provable, NotProvable}
+
+
+def test_prover_rejects_a_bad_countermodel(monkeypatch):
+    monkeypatch.setattr(vkp.oracle, "is_valid_model", lambda m: False)
+    with pytest.raises(InternalError):
+        ipc_provable(parse_formula("A \\/ ~A"))
+
+
+def _model(size, extra_pairs, valuation=None):
+    order = {(w, w) for w in range(size)} | {(0, w) for w in range(size)}
+    return KripkeModel(size, frozenset(order | set(extra_pairs)),
+                       valuation or {})
+
+
+def test_model_check_accepts_a_model():
+    m = _model(3, {(1, 2)}, {"A": frozenset({1, 2}), "B": frozenset()})
+    assert is_valid_model(m)
+
+
+def test_model_check_rejects_order_outside_worlds():
+    assert not is_valid_model(_model(2, {(1, 2)}))
+    assert not is_valid_model(_model(2, {(-1, 0)}))
+
+
+def test_model_check_rejects_irreflexive_order():
+    m = KripkeModel(2, frozenset({(0, 0), (0, 1)}), {})
+    assert not is_valid_model(m)
+
+
+def test_model_check_rejects_cycle():
+    assert not is_valid_model(_model(3, {(1, 2), (2, 1)}))
+
+
+def test_model_check_rejects_intransitive_order():
+    assert not is_valid_model(_model(4, {(1, 2), (2, 3)}))
+
+
+def test_model_check_rejects_unrooted_order():
+    m = KripkeModel(3, frozenset({(0, 0), (1, 1), (2, 2), (0, 1), (2, 1)}), {})
+    assert not is_valid_model(m)
+
+
+def test_model_check_rejects_valuation_not_up_closed():
+    m = _model(3, {(1, 2)}, {"A": frozenset({1})})
+    assert not is_valid_model(m)
 
 
 def test_prover_witnesses_are_normalish():
