@@ -91,21 +91,26 @@ def _cmd_check(args) -> int:
 
 
 def _load_declaration(path: str, name: str):
-    script = parse_script(_read(path))
-    for d in script:
+    """The named declaration, type-checked; None once a type error in it
+    is reported on stderr."""
+    for d in parse_script(_read(path)):
         if d.name == name:
-            return d
-    raise UsageError(f"no declaration named {name!r} in {path}")
-
-
-def _cmd_normalize(args) -> int:
-    budget = _budget()
-    d = _load_declaration(args.file, args.name)
+            break
+    else:
+        raise UsageError(f"no declaration named {name!r} in {path}")
     try:
         check({}, d.body, d.formula, d.calculus)
     except TypeCheckError as e:
         print(f"{d.name} : error at line {d.line}, column {d.col}: {e}",
               file=sys.stderr)
+        return None
+    return d
+
+
+def _cmd_normalize(args) -> int:
+    budget = _budget()
+    d = _load_declaration(args.file, args.name)
+    if d is None:
         return 1
     trace = [] if args.trace else None
     try:
@@ -155,11 +160,7 @@ def _cmd_normalize(args) -> int:
 def _cmd_extract(args) -> int:
     budget = _budget()
     d = _load_declaration(args.file, args.name)
-    try:
-        check({}, d.body, d.formula, d.calculus)
-    except TypeCheckError as e:
-        print(f"{d.name} : error at line {d.line}, column {d.col}: {e}",
-              file=sys.stderr)
+    if d is None:
         return 1
     try:
         side, witness = extract_disjunct(d.body, d.calculus, budget)

@@ -4,12 +4,15 @@ Full normalization (normalize_full, eval_ipc, normalize_kp, and eval_v
 at each rebuilt node that is a redex) goes through one loop, _run: an
 iterative leftmost-outermost walk that contracts the first redex in
 preorder (the head spine first, then the children left to right, under
-binders included).  The walk keeps an explicit stack of frames instead of
-recursing, so the depth of a redex is not limited by the interpreter's
-recursion limit; substitution and inference still recurse over the
-subterms they touch.  A contraction can only turn ancestors reached
-through child-0 links into redexes, so after one the walk backs up over
-those frames only and carries on; nothing to its left is scanned again.
+binders included).  The walk keeps an explicit stack of (parent, child
+index) frames instead of recursing, so the depth of a redex is not limited
+by the interpreter's recursion limit; substitution and inference still
+recurse over the subterms they touch.  These are the frames head contexts
+are made of too, and the one plug, syntax._plug, rebuilds the term from
+them.  A contraction can only turn ancestors reached through child-0 links
+into redexes, so after one the walk backs up over those frames only, with
+one plug over the popped frames, and carries on; nothing to its left is
+scanned again.
 weak_head_normalize iterates the KP head step.  Every strategy counts
 steps against a budget and refuses to return a truncated term.
 
@@ -23,7 +26,8 @@ from __future__ import annotations
 
 from .syntax import (
     Abs, App, Case, Disj, Exfalso, Harrop, Inj, Pair, Proj, Term,
-    TypingContext, Var, Visser, children, free_vars, substitute, with_children,
+    TypingContext, Var, Visser, children, free_vars, substitute, _plug,
+    _subterms,
 )
 from .typecheck import TypeCheckError, infer
 from .reduction import (
@@ -57,20 +61,6 @@ class _Budget:
         self.used = 0
 
 
-def _with_child(t: Term, i: int, c: Term) -> Term:
-    cs = children(t)
-    if cs[i] is c:
-        return t
-    return with_children(t, cs[:i] + (c,) + cs[i + 1:])
-
-
-def _plug(stack: list, t: Term) -> Term:
-    """The whole term: t put back through every frame, innermost first."""
-    for parent, i, _ in reversed(stack):
-        t = _with_child(parent, i, t)
-    return t
-
-
 def _run(
     t: Term,
     meter: _Budget,
@@ -81,42 +71,51 @@ def _run(
 ) -> Term:
     """Contract the first redex in preorder until none is left.
 
-    Each frame is (parent, child index, parent's context); a parent is
-    current in every child but the one the walk is in.  `thread`, which
-    must be set only while the term holds a hop, passes binder types down
-    to every child (only hop contractions read them); visser and hop main
-    premises get theirs regardless.
+    `frames` are the walk's (parent, child index) frames, outermost first,
+    and ctxs[j] is the context of frames[j]'s parent; a parent is current
+    in every child but the one the walk is in.  `thread`, which must be
+    set only while the term holds a hop, passes binder types down to every
+    child (only hop contractions read them); visser and hop main premises
+    get theirs regardless.
     """
-    stack: list[tuple[Term, int, TypingContext]] = []
+    frames: list[tuple[Term, int]] = []
+    ctxs: list[TypingContext] = []
     cur, cctx, whole = t, ctx or {}, t
     while True:
         r = step_top_named(cur, calculus, cctx)
         if r is not None:
             if meter.used >= meter.limit:
-                raise BudgetExceeded(_plug(stack, cur), meter.used)
+                raise BudgetExceeded(_plug(frames, cur), meter.used)
             meter.used += 1
             cur, rule = r
             if trace is not None:
-                after = _plug(stack, cur)
-                trace.append(TraceStep(tuple(i for _, i, _ in stack), rule, whole, after))
+                after = _plug(frames, cur)
+                trace.append(TraceStep(tuple(i for _, i in frames), rule, whole, after))
                 whole = after
             if thread:  # a contraction adds no hop but may drop the last one
-                thread = contains_hop(_plug(stack, cur))
+                thread = contains_hop(_plug(frames, cur))
             # only ancestors reached through child-0 links can have become redexes
-            while stack and stack[-1][1] == 0:
-                parent, _, cctx = stack.pop()
-                cur = _with_child(parent, 0, cur)
+            k = len(frames)
+            while k and frames[k - 1][1] == 0:
+                k -= 1
+            if k < len(frames):
+                cur, cctx = _plug(frames[k:], cur), ctxs[k]
+                del frames[k:], ctxs[k:]
             continue
         # no redex here: enter the first child, or climb to the next sibling
         parent, i, pctx = cur, -1, cctx
+        k = len(frames)
         while i + 1 == len(children(parent)):
-            if not stack:
-                return parent
-            done = parent
-            parent, i, pctx = stack.pop()
-            parent = _with_child(parent, i, done)
+            if not k:
+                return _plug(frames, cur)
+            k -= 1
+            (parent, i), pctx = frames[k], ctxs[k]
+        if k < len(frames):
+            parent = _plug(frames[k:], cur)
+            del frames[k:], ctxs[k:]
         i += 1
-        stack.append((parent, i, pctx))
+        frames.append((parent, i))
+        ctxs.append(pctx)
         cur = children(parent)[i]
         if thread or i == 0 and isinstance(parent, (Visser, Harrop)):
             cctx = child_context(parent, i, pctx, calculus)
@@ -179,12 +178,6 @@ def eval_ipc(
     elif any(isinstance(s, (Visser, Harrop)) for s in _subterms(t)):
         raise PreconditionViolation("term is not in the IPC fragment")
     return normalize_full(t, "IPC", root_ctx, budget, trace)
-
-
-def _subterms(t: Term):
-    yield t
-    for c in children(t):
-        yield from _subterms(c)
 
 
 def normalize_kp(

@@ -58,7 +58,7 @@ class ClassificationFailure(Exception):
 class ClassReport:
     kind: str  # Abstraction | VariableInCtx | Injection | Pair
     #            | ArrowNeutral | NegNeutral | VarAppFalsum
-    context: object = None  # head context for the neutral kinds
+    context: tuple | None = None  # neutral kinds: the head context, (node, 0) frames
     head: Term | None = None
 
 
@@ -98,7 +98,7 @@ def classify(ctx: TypingContext, t: Term, calculus: str) -> ClassReport:
             case ExfalsoHead(w, _):
                 return ClassReport("NegNeutral", w)
             case VarAppHead(w, v, a):
-                if not w.frames and v in ctx and ty == Falsum():
+                if not w and v in ctx and ty == Falsum():
                     return ClassReport("VarAppFalsum", head=App(Var(v), a))
                 raise ClassificationFailure(
                     f"variable head {v} outside the falsity shape at type {ty}"

@@ -6,6 +6,11 @@ presents at the end of that spine.  An injection counts only when it is the
 whole premise.  When a spine variable is applied to several arguments, the
 first application is the redex reading and the rest stay in the context.
 
+A head context is a tuple of (node, child index) frames, outermost first:
+the zipper frames the normalization walk and replace_at keep as well.  One
+plug, syntax._plug, puts a term back through them; the KP head step walks
+its spine (hop main premises included) into such frames and plugs the reduct.
+
 Rebuilt exfalso nodes in the efq contractions are annotated with the first
 disjunct of the main premise's type, so contracting needs the types of any
 variables the premise mentions; step functions take the ambient context for
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 from .syntax import (
     Abs, App, Case, Exfalso, Harrop, Impl, Inj, Pair, Proj, Term,
     TypingContext, Var, Visser, children, replace_at, subterm_at, substitute,
-    with_children,
+    _plug, _subterms,
 )
 from .typecheck import CalculusViolation, TypeCheckError, _curried, infer
 
@@ -28,54 +33,6 @@ RULE_NAMES = (
     "Visser-inj", "Visser-efq", "Visser-app",
     "Harrop-inj", "Harrop-efq",
 )
-
-
-# ------------------------------------------------------------ head contexts
-
-
-@dataclass(frozen=True)
-class ArgFrame:
-    arg: Term
-
-
-@dataclass(frozen=True)
-class ProjFrame:
-    index: int
-
-
-@dataclass(frozen=True)
-class CaseFrame:
-    binder: str
-    branch1: Term
-    branch2: Term
-
-
-def _wrap(frame, t: Term) -> Term:
-    match frame:
-        case ArgFrame(a):
-            return App(t, a)
-        case ProjFrame(i):
-            return Proj(i, t)
-        case CaseFrame(y, b1, b2):
-            return Case(t, y, b1, b2)
-    raise TypeError(f"not a frame: {frame!r}")
-
-
-@dataclass(frozen=True)
-class WeakHeadContext:
-    """Elimination frames around a head position, outermost first."""
-
-    frames: tuple
-
-    def __post_init__(self):
-        for f in self.frames:
-            if not isinstance(f, (ArgFrame, ProjFrame, CaseFrame)):
-                raise ValueError(f"frame not allowed here: {f!r}")
-
-    def plug(self, t: Term) -> Term:
-        for f in reversed(self.frames):
-            t = _wrap(f, t)
-        return t
 
 
 # ------------------------------------------------------------- decomposition
@@ -89,13 +46,13 @@ class InjectionHead:
 
 @dataclass(frozen=True)
 class ExfalsoHead:
-    context: WeakHeadContext
+    context: tuple  # (node, 0) frames of the weak-head context, outermost first
     payload: Term
 
 
 @dataclass(frozen=True)
 class VarAppHead:
-    context: WeakHeadContext
+    context: tuple
     var: str
     first_arg: Term
 
@@ -109,24 +66,14 @@ def decompose(t: Term) -> Decomposition | None:
         return InjectionHead(t.index, t.arg)
     frames = []
     cur = t
-    while True:
-        match cur:
-            case App(f, a):
-                frames.append(ArgFrame(a))
-                cur = f
-            case Proj(i, a):
-                frames.append(ProjFrame(i))
-                cur = a
-            case Case(sc, y, b1, b2):
-                frames.append(CaseFrame(y, b1, b2))
-                cur = sc
-            case _:
-                break
+    while isinstance(cur, (App, Proj, Case)):
+        frames.append((cur, 0))
+        cur = children(cur)[0]
     if isinstance(cur, Exfalso):
-        return ExfalsoHead(WeakHeadContext(tuple(frames)), cur.arg)
-    if isinstance(cur, Var) and frames and isinstance(frames[-1], ArgFrame):
-        first = frames.pop()
-        return VarAppHead(WeakHeadContext(tuple(frames)), cur.name, first.arg)
+        return ExfalsoHead(tuple(frames), cur.arg)
+    if isinstance(cur, Var) and frames and isinstance(frames[-1][0], App):
+        first, _ = frames.pop()
+        return VarAppHead(tuple(frames), cur.name, first.arg)
     return None
 
 
@@ -193,13 +140,7 @@ def step_top(t: Term, calculus: str = "IPC", ctx: TypingContext | None = None) -
 
 
 def contains_hop(t: Term) -> bool:
-    stack = [t]
-    while stack:
-        s = stack.pop()
-        if isinstance(s, Harrop):
-            return True
-        stack.extend(children(s))
-    return False
+    return any(isinstance(s, Harrop) for s in _subterms(t))
 
 
 def child_context(t: Term, i: int, ctx: TypingContext, calculus: str) -> TypingContext:
@@ -275,33 +216,18 @@ def step_weak_head_named(t: Term, ctx: TypingContext | None = None):
     hop main premises) and contracts the outermost firing position.
     """
     cctx = dict(ctx) if ctx else {}
-    spine: list[tuple[Term, TypingContext]] = []
+    frames = []
     cur = t
     while True:
         r = step_top_named(cur, "KP", cctx)
         if r is not None:
-            whole = r[0]
-            for parent, _ in reversed(spine):
-                cs = list(children(parent))
-                cs[0] = whole
-                whole = with_children(parent, tuple(cs))
-            return whole, (0,) * len(spine), r[1]
-        match cur:
-            case App(f, _):
-                spine.append((cur, cctx))
-                cur = f
-            case Proj(_, a):
-                spine.append((cur, cctx))
-                cur = a
-            case Case(sc, _, _, _):
-                spine.append((cur, cctx))
-                cur = sc
-            case Harrop(x, a, m, _, _, _):
-                spine.append((cur, cctx))
-                cctx = {**cctx, x: a}
-                cur = m
-            case _:
-                return None
+            return _plug(frames, r[0]), (0,) * len(frames), r[1]
+        if isinstance(cur, Harrop):
+            cctx = {**cctx, cur.binder: cur.annot}
+        elif not isinstance(cur, (App, Proj, Case)):
+            return None
+        frames.append((cur, 0))
+        cur = children(cur)[0]
 
 
 def step_weak_head(t: Term, ctx: TypingContext | None = None) -> Term | None:

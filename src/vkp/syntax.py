@@ -253,6 +253,27 @@ def with_children(t: Term, new: tuple[Term, ...]) -> Term:
     raise TypeError(f"not a term: {t!r}")
 
 
+def _plug(frames, t: Term) -> Term:
+    """t put back through (parent, child index) frames, given outermost
+    first; a parent whose child is already t is kept as it is."""
+    for parent, i in reversed(frames):
+        cs = children(parent)
+        if cs[i] is not t:
+            parent = with_children(parent, cs[:i] + (t,) + cs[i + 1:])
+        t = parent
+    return t
+
+
+def _subterms(t: Term):
+    """Every subterm of t, each before its own subterms, from an explicit
+    stack: a preorder that takes the children right to left."""
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        yield s
+        stack.extend(children(s))
+
+
 def binders_of_child(t: Term, i: int) -> tuple[str, ...]:
     """Names bound in child i of t, in binding order."""
     match t:
@@ -278,11 +299,11 @@ def subterm_at(t: Term, path: tuple[int, ...]) -> Term:
 
 
 def replace_at(t: Term, path: tuple[int, ...], new: Term) -> Term:
-    if not path:
-        return new
-    cs = list(children(t))
-    cs[path[0]] = replace_at(cs[path[0]], path[1:], new)
-    return with_children(t, tuple(cs))
+    frames = []
+    for i in path:
+        frames.append((t, i))
+        t = children(t)[i]
+    return _plug(frames, new)
 
 
 # ------------------------------------------------------------ free variables
@@ -430,7 +451,7 @@ def alpha_eq(t: Term, s: Term) -> bool:
 
 
 def term_size(t: Term) -> int:
-    return 1 + sum(term_size(c) for c in children(t))
+    return sum(1 for _ in _subterms(t))
 
 
 def term_depth(t: Term) -> int:

@@ -112,6 +112,16 @@ def test_normalize_missing_declaration(capsys):
     assert err == f"vkp: no declaration named 'nonexistent' in {HARROP}\n"
 
 
+def test_normalize_and_extract_ill_typed(tmp_path, capsys):
+    f = tmp_path / "bad.vkp"
+    f.write_text("calculus IPC\n\ndef oops : p -> q := fun (x : p) => x\n")
+    for command in ("normalize", "extract"):
+        assert main([command, str(f), "oops"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "oops : error at line 3, column 1: expected p -> q, got p -> p\n"
+
+
 def test_budget_env(tmp_path, monkeypatch, capsys):
     f = tmp_path / "chain.vkp"
     f.write_text(

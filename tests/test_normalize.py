@@ -1,6 +1,5 @@
 """Evaluators, the KP normalizer, budgets, traces, and extraction."""
 
-import sys
 from collections import Counter
 
 import pytest
@@ -270,14 +269,6 @@ def test_weak_head_steps_match_spine_search():
 
 
 # ------------------------------------------- depth at the default limit
-
-
-@pytest.fixture
-def default_recursion_limit():
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    yield
-    sys.setrecursionlimit(old)
 
 
 CHAIN_CTX = {"f": Impl(A, A), "y": A}

@@ -7,15 +7,14 @@ import pytest
 from vkp.gen import generate_typed
 from vkp.parser import parse_term
 from vkp.reduction import (
-    ArgFrame, CaseFrame, ExfalsoHead, InjectionHead, ProjFrame, VarAppHead,
-    WeakHeadContext, decompose, is_normal, replay_step, step_anywhere,
-    step_top, step_top_named, step_weak_head, step_weak_head_named,
-    weak_head_redexes,
+    ExfalsoHead, InjectionHead, VarAppHead, decompose, is_normal,
+    replay_step, step_anywhere, step_top, step_top_named, step_weak_head,
+    step_weak_head_named, weak_head_redexes,
 )
 from vkp.normalize import TraceStep
 from vkp.syntax import (
     Abs, App, Atom, Case, Conj, Exfalso, FALSUM, Harrop, Impl, Inj, Pair,
-    Proj, Var, Visser, alpha_eq, neg, substitute,
+    Proj, Var, Visser, alpha_eq, neg, substitute, _plug,
 )
 from vkp.typecheck import CalculusViolation
 
@@ -35,9 +34,9 @@ def test_decompose_exfalso_under_w():
     t = Proj(1, Exfalso(Conj(A, B), Var("s")))
     d = decompose(t)
     assert isinstance(d, ExfalsoHead)
-    assert d.context.frames == (ProjFrame(1),)
+    assert d.context == ((t, 0),)
     assert d.payload == Var("s")
-    assert d.context.plug(Exfalso(Conj(A, B), Var("s"))) == t
+    assert _plug(d.context, Exfalso(Conj(A, B), Var("s"))) == t
 
 
 def test_decompose_var_app_under_case():
@@ -46,7 +45,7 @@ def test_decompose_var_app_under_case():
     assert isinstance(d, VarAppHead)
     assert d.var == "x1"
     assert d.first_arg == Var("t")
-    assert d.context.frames == (CaseFrame("y", Var("y"), Var("y")),)
+    assert d.context == ((t, 0),)
 
 
 def test_decompose_first_argument_reading():
@@ -55,8 +54,8 @@ def test_decompose_first_argument_reading():
     d = decompose(t)
     assert isinstance(d, VarAppHead)
     assert d.first_arg == Var("t")
-    assert d.context.frames == (ArgFrame(Var("u")),)
-    assert d.context.plug(App(Var("x"), Var("t"))) == t
+    assert d.context == ((t, 0),)
+    assert _plug(d.context, App(Var("x"), Var("t"))) == t
 
 
 def test_decompose_nothing():
@@ -73,10 +72,10 @@ def test_plug_decompose_inverse():
         ctx, t, a = generate_typed(cal, max_depth=6, atom_count=3, seed=seed)
         d = decompose(t)
         if isinstance(d, ExfalsoHead):
-            core = d.context.plug(Exfalso(_efq_target(t, d), d.payload))
+            core = _plug(d.context, Exfalso(_efq_target(t, d), d.payload))
             assert core == t
         elif isinstance(d, VarAppHead):
-            assert d.context.plug(App(Var(d.var), d.first_arg)) == t
+            assert _plug(d.context, App(Var(d.var), d.first_arg)) == t
         elif isinstance(d, InjectionHead):
             assert isinstance(t, Inj)
 
@@ -85,7 +84,7 @@ def _efq_target(t, d):
     # recover the annotation of the exfalso the context wraps
     cur = t
     from vkp.syntax import children
-    for _ in d.context.frames:
+    for _ in d.context:
         cur = children(cur)[0]
     return cur.target
 

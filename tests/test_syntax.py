@@ -6,7 +6,7 @@ import random
 from vkp.syntax import (
     Abs, App, Atom, Case, Conj, Disj, Exfalso, FALSUM, Harrop, Impl, Inj,
     Pair, Proj, Var, Visser, alpha_eq, free_vars, fresh_name, nameless,
-    substitute, term_depth, term_size,
+    replace_at, substitute, term_depth, term_size,
 )
 
 A = Atom("A")
@@ -229,6 +229,35 @@ def test_size_and_depth():
     assert term_depth(t) == 3
     assert term_size(Var("x")) == 1
     assert term_depth(Var("x")) == 1
+
+
+def _f_chain(n, end):
+    """f (f (... end)), n applications deep."""
+    for _ in range(n):
+        end = App(Var("f"), end)
+    return end
+
+
+def test_term_size_deep(default_recursion_limit):
+    assert term_size(_f_chain(3000, Var("y"))) == 2 * 3000 + 1
+
+
+def test_replace_at_deep(default_recursion_limit):
+    t = _f_chain(3000, Var("y"))
+    r = replace_at(t, (1,) * 3000, Var("z"))
+    # walk both, since dataclass == recurses
+    for _ in range(3000):
+        assert isinstance(r, App) and r.fun is t.fun
+        r, t = r.arg, t.arg
+    assert r == Var("z")
+
+
+def test_replace_at_shares_what_it_keeps():
+    t = Pair(App(Var("f"), Var("x")), Var("y"))
+    assert replace_at(t, (0, 1), t.fst.arg) is t
+    r = replace_at(t, (0, 1), Var("z"))
+    assert r == Pair(App(Var("f"), Var("z")), Var("y"))
+    assert r.snd is t.snd and r.fst.fun is t.fst.fun
 
 
 def test_constructor_validation():
