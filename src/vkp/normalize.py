@@ -74,9 +74,9 @@ def _run(
     `frames` are the walk's (parent, child index) frames, outermost first,
     and ctxs[j] is the context of frames[j]'s parent; a parent is current
     in every child but the one the walk is in.  `thread`, which must be
-    set only while the term holds a hop, passes binder types down to every
-    child (only hop contractions read them); visser and hop main premises
-    get theirs regardless.
+    set only in KP and only while the term holds a hop, passes binder types
+    down to every child (only hop contractions read them); visser and hop
+    main premises get theirs regardless.
     """
     frames: list[tuple[Term, int]] = []
     ctxs: list[TypingContext] = []
@@ -93,7 +93,7 @@ def _run(
                 trace.append(TraceStep(tuple(i for _, i in frames), rule, whole, after))
                 whole = after
             if thread:  # a contraction adds no hop but may drop the last one
-                thread = contains_hop(_plug(frames, cur))
+                thread = contains_hop(whole if trace is not None else _plug(frames, cur))
             # only ancestors reached through child-0 links can have become redexes
             k = len(frames)
             while k and frames[k - 1][1] == 0:
@@ -133,7 +133,8 @@ def normalize_full(
     """Reduce to a term with no remaining contractions anywhere."""
     root_ctx = dict(ctx) if ctx else {}
     meter = _Budget(DEFAULT_BUDGET if budget is None else budget)
-    return _run(t, meter, calculus, root_ctx, trace, contains_hop(t))
+    thread = calculus == "KP" and contains_hop(t)  # elsewhere a hop is refused
+    return _run(t, meter, calculus, root_ctx, trace, thread)
 
 
 def weak_head_normalize(

@@ -4,6 +4,12 @@ Terms carry named binders and a formula annotation at every binding site,
 so checking is syntax-directed.  Alpha-equivalence goes through a nameless
 index form; substitution is capture-avoiding and renames colliding binders
 deterministically (smallest unused numeric suffix).
+
+The free variables of a term are computed once per node and kept in a
+hidden `_fv` slot, which is not a dataclass field, so equality, hashing
+and repr do not see it.  A node whose set equals one child's keeps that
+child's frozenset, and a variable keeps none.  So `substitute` tells at a
+lookup that a subterm it leaves alone does not mention the variable.
 """
 
 from __future__ import annotations
@@ -66,7 +72,7 @@ CALCULI = ("IPC", "V", "KP")
 
 
 class Term:
-    __slots__ = ()
+    __slots__ = ("_fv",)  # free_vars' cache, see the module docstring
 
 
 @dataclass(frozen=True, slots=True)
@@ -309,13 +315,47 @@ def replace_at(t: Term, path: tuple[int, ...], new: Term) -> Term:
 # ------------------------------------------------------------ free variables
 
 
-def free_vars(t: Term) -> set[str]:
-    out: set[str] = set()
-    for i, c in enumerate(children(t)):
-        out |= free_vars(c) - set(binders_of_child(t, i))
+_NO_NAMES: frozenset[str] = frozenset()
+_BINDING = (Abs, Case, Visser, Harrop)
+
+
+def free_vars(t: Term) -> frozenset[str]:
+    """The names free in t.
+
+    One post-order walk over an explicit stack fills the `_fv` slot of
+    every node below t that does not have it yet, so asking again costs a
+    lookup.  A node whose set equals one child's (with that child's binders
+    removed) keeps that child's frozenset; a variable keeps no set.
+    """
     if isinstance(t, Var):
-        out.add(t.name)
-    return out
+        return frozenset((t.name,))
+    known = getattr(t, "_fv", None)
+    if known is not None:
+        return known
+    stack = [(t, None)]
+    while stack:
+        node, cs = stack.pop()
+        if cs is None:  # first visit: the children's sets come first
+            cs = children(node)
+            todo = [c for c in cs if not (isinstance(c, Var) or hasattr(c, "_fv"))]
+            if todo:
+                stack.append((node, cs))
+                stack += [(c, None) for c in todo]
+                continue
+        fv = _NO_NAMES
+        binding = isinstance(node, _BINDING)
+        for i, c in enumerate(cs):
+            s = frozenset((c.name,)) if isinstance(c, Var) else c._fv
+            if binding:
+                for b in binders_of_child(node, i):
+                    if b in s:
+                        s = s - {b}
+            if s >= fv:
+                fv = s
+            elif not s <= fv:
+                fv = fv | s
+        object.__setattr__(node, "_fv", fv)
+    return t._fv
 
 
 def fresh_name(base: str, avoid: set[str]) -> str:
@@ -339,7 +379,7 @@ def _scoped(bound: tuple[str, ...], bodies: list[Term], x: str, s: Term):
         return bound, bodies
     fvs = free_vars(s)
     if any(b in fvs for b in bound):
-        avoid = fvs | {x} | set(bound)
+        avoid = {x, *bound, *fvs}
         for b in bodies:
             avoid |= free_vars(b)
         new_bound = []
@@ -358,11 +398,11 @@ def _scoped(bound: tuple[str, ...], bodies: list[Term], x: str, s: Term):
 
 def substitute(t: Term, x: str, s: Term) -> Term:
     """t with s put in for free occurrences of x, renaming binders on capture."""
+    if isinstance(t, Var):
+        return s if t.name == x else t
     if x not in free_vars(t):
         return t
     match t:
-        case Var():
-            return s  # x is free in t, so this is x itself
         case App(f, a):
             return App(substitute(f, x, s), substitute(a, x, s))
         case Exfalso(f, a):
@@ -397,51 +437,61 @@ def substitute(t: Term, x: str, s: Term) -> Term:
 
 
 def nameless(t: Term) -> tuple:
-    """Canonical index form: bound names become de Bruijn style distances."""
-    return _nameless(t, {}, 0)
+    """Canonical index form: bound names become de Bruijn style distances.
+
+    A preorder over an explicit stack gives each node its scope (name ->
+    binding depth, and the depth) and a list for its children's forms;
+    the forms are then built children first, in reverse preorder.
+    """
+    if isinstance(t, Var):
+        return ("f", t.name)
+    root = [None]
+    todo = [(t, {}, 0, root, 0)]
+    built = []
+    while todo:
+        u, env, depth, out, j = todo.pop()
+        cs = children(u)
+        forms = [None] * len(cs)
+        built.append((u, forms, out, j))
+        binding = isinstance(u, _BINDING)
+        for i, c in enumerate(cs):
+            e, d = env, depth
+            if binding and (bound := binders_of_child(u, i)):
+                e = dict(env)
+                for b in bound:
+                    e[b] = d
+                    d += 1
+            if isinstance(c, Var):
+                n = c.name
+                forms[i] = ("b", d - e[n] - 1) if n in e else ("f", n)
+            else:
+                todo.append((c, e, d, forms, i))
+    for u, forms, out, j in reversed(built):
+        out[j] = _nameless_node(u, forms)
+    return root[0]
 
 
-def _nameless(t: Term, env: dict[str, int], depth: int) -> tuple:
-    def under(bound: tuple[str, ...], sub: Term) -> tuple:
-        e = dict(env)
-        d = depth
-        for b in bound:
-            e[b] = d
-            d += 1
-        return _nameless(sub, e, d)
-
+def _nameless_node(t: Term, cs: list) -> tuple:
+    """The index form of t, given those of its children in child order."""
     match t:
-        case Var(n):
-            if n in env:
-                return ("b", depth - env[n] - 1)
-            return ("f", n)
-        case App(f, a):
-            return ("app", _nameless(f, env, depth), _nameless(a, env, depth))
-        case Abs(x, a, b):
-            return ("abs", a, under((x,), b))
-        case Exfalso(f, a):
-            return ("efq", f, _nameless(a, env, depth))
-        case Pair(a, b):
-            return ("pair", _nameless(a, env, depth), _nameless(b, env, depth))
-        case Proj(i, a):
-            return ("proj", i, _nameless(a, env, depth))
-        case Inj(i, o, a):
-            return ("inj", i, o, _nameless(a, env, depth))
-        case Case(sc, y, b1, b2):
-            return ("case", _nameless(sc, env, depth), under((y,), b1), under((y,), b2))
-        case Visser(bs, m, y, b1, b2, z, us):
-            names = tuple(n for n, _ in bs)
-            annots = tuple(a for _, a in bs)
-            return (
-                "visser",
-                annots,
-                under(names, m),
-                under((y,), b1),
-                under((y,), b2),
-                tuple(under((z,), u) for u in us),
-            )
-        case Harrop(x, a, m, y, b1, b2):
-            return ("hop", a, under((x,), m), under((y,), b1), under((y,), b2))
+        case App():
+            return ("app", cs[0], cs[1])
+        case Abs(_, a, _):
+            return ("abs", a, cs[0])
+        case Exfalso(f, _):
+            return ("efq", f, cs[0])
+        case Pair():
+            return ("pair", cs[0], cs[1])
+        case Proj(i, _):
+            return ("proj", i, cs[0])
+        case Inj(i, o, _):
+            return ("inj", i, o, cs[0])
+        case Case():
+            return ("case", cs[0], cs[1], cs[2])
+        case Visser(bs):
+            return ("visser", tuple(a for _, a in bs), cs[0], cs[1], cs[2], tuple(cs[3:]))
+        case Harrop(_, a):
+            return ("hop", a, cs[0], cs[1], cs[2])
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -455,5 +505,9 @@ def term_size(t: Term) -> int:
 
 
 def term_depth(t: Term) -> int:
-    cs = children(t)
-    return 1 + (max(map(term_depth, cs)) if cs else 0)
+    depth, stack = 0, [(t, 1)]
+    while stack:
+        s, d = stack.pop()
+        depth = max(depth, d)
+        stack.extend((c, d + 1) for c in children(s))
+    return depth

@@ -19,7 +19,7 @@ from vkp.syntax import (
     Abs, App, Atom, Case, Conj, Disj, Exfalso, FALSUM, Harrop, Impl, Inj,
     Pair, Proj, Var, Visser, alpha_eq, neg,
 )
-from vkp.typecheck import infer
+from vkp.typecheck import CalculusViolation, infer
 
 A = Atom("A")
 B = Atom("B")
@@ -311,11 +311,11 @@ def test_deep_beta_chain(default_recursion_limit, monkeypatch):
 
 
 def test_deep_hop_chain(default_recursion_limit):
-    t = _chain(400, lambda e: Harrop("x", neg(B), Inj(1, A, Var("y")), "w", e, Var("y")))
+    t = _chain(600, lambda e: Harrop("x", neg(B), Inj(1, A, Var("y")), "w", e, Var("y")))
     trace = []
     nf = normalize_full(t, "KP", CHAIN_CTX, trace=trace)
-    assert _is_f_iterated(nf, 400)
-    assert len(trace) == 400
+    assert _is_f_iterated(nf, 600)
+    assert len(trace) == 600
     assert {s.rule for s in trace} == {"Harrop-inj"}
 
 
@@ -329,6 +329,17 @@ def test_no_binder_types_after_last_hop():
     assert [s.rule for s in trace] == ["Harrop-inj", "Beta"]
     assert nf == Case(Var("g"), "z", Var("z"), Var("z"))
     assert nf == normalize_full(t, "KP", {"g": Disj(A, A), "y": A})
+
+
+def test_hop_outside_kp_is_refused():
+    # binder types are threaded only in KP; elsewhere the walk still meets
+    # the hop and refuses it
+    hop = Harrop("x", neg(B), Inj(1, A, Var("y")), "w", Var("w"), Var("y"))
+    with pytest.raises(CalculusViolation):
+        normalize_full(App(Abs("k", A, Var("k")), hop), "IPC", CHAIN_CTX)
+    t = Case(Var("d"), "z", Pair(Var("z"), hop), Pair(Var("z"), Var("z")))
+    with pytest.raises(CalculusViolation):
+        normalize_full(t, "V", {**CHAIN_CTX, "d": Disj(A, A)})
 
 
 def test_eval_v_walks_only_rebuilt_redexes(monkeypatch):

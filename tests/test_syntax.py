@@ -1,12 +1,13 @@
 """Substitution against an always-rename oracle, free variables, alpha."""
 
+import dataclasses
 import itertools
 import random
 
 from vkp.syntax import (
     Abs, App, Atom, Case, Conj, Disj, Exfalso, FALSUM, Harrop, Impl, Inj,
-    Pair, Proj, Var, Visser, alpha_eq, free_vars, fresh_name, nameless,
-    replace_at, substitute, term_depth, term_size,
+    Pair, Proj, Var, Visser, alpha_eq, children, free_vars, fresh_name,
+    nameless, replace_at, substitute, term_depth, term_size,
 )
 
 A = Atom("A")
@@ -60,6 +61,30 @@ def subst_oracle(t, x, s, fresh):
                 tuple((n, a) for n, (_, a) in zip(names2, bs)),
                 rec(m, x, s), y2, rec(b1, x, s), rec(b2, x, s),
                 z2, tuple(rec(u, x, s) for u in us))
+    raise AssertionError(t)
+
+
+def fv_reference(t):
+    """Free variables straight from the definition, by recursion."""
+    match t:
+        case Var(n):
+            return {n}
+        case App(a, b) | Pair(a, b):
+            return fv_reference(a) | fv_reference(b)
+        case Abs(x, _, b):
+            return fv_reference(b) - {x}
+        case Exfalso(_, a) | Proj(_, a) | Inj(_, _, a):
+            return fv_reference(a)
+        case Case(sc, y, b1, b2):
+            return fv_reference(sc) | ((fv_reference(b1) | fv_reference(b2)) - {y})
+        case Harrop(x, _, m, y, b1, b2):
+            return (fv_reference(m) - {x}) | ((fv_reference(b1) | fv_reference(b2)) - {y})
+        case Visser(bs, m, y, b1, b2, z, us):
+            out = fv_reference(m) - {n for n, _ in bs}
+            out |= (fv_reference(b1) | fv_reference(b2)) - {y}
+            for u in us:
+                out |= fv_reference(u) - {z}
+            return out
     raise AssertionError(t)
 
 
@@ -193,6 +218,63 @@ def test_free_vars_substitute_interaction():
             assert free_vars(r) == expect
 
 
+def test_free_vars_matches_reference():
+    rng = random.Random(14)
+    for _ in range(200):
+        t = rand_term(rng, 5)
+        r = substitute(t, rng.choice("xyzw"), rand_term(rng, 2))
+        for u in (t, r, t, r):  # computed, then read back from the nodes
+            fv = free_vars(u)
+            assert isinstance(fv, frozenset)
+            assert fv == fv_reference(u), u
+
+
+def test_free_vars_of_a_subterm_shared_under_two_binders():
+    # removing one parent's binder must not change the shared child's set,
+    # whichever parent is asked first
+    for first in (0, 1):
+        s = Pair(App(Var("x"), Var("y")), Var("z"))
+        t = Pair(Abs("x", A, s), Case(Var("d"), "y", s, Var("y")))
+        want = ({"y", "z"}, {"d", "x", "z"})
+        assert free_vars(children(t)[first]) == want[first]
+        assert free_vars(t) == {"d", "x", "y", "z"}
+        assert (free_vars(t.fst), free_vars(t.snd)) == want
+        assert free_vars(s) == {"x", "y", "z"}
+
+
+def test_free_vars_shares_a_childs_set():
+    body = App(Var("f"), App(Var("g"), Var("y")))
+    t = App(Var("f"), Abs("x", A, body))
+    fv = free_vars(t)
+    assert fv == {"f", "g", "y"}
+    assert free_vars(t.arg) is fv and free_vars(body) is fv
+    assert free_vars(Abs("y", A, body)) == {"f", "g"}
+    assert free_vars(body) is fv
+
+
+def test_cached_free_vars_leave_the_value_alone():
+    for seed in range(50):
+        t = rand_term(random.Random(seed), 4)
+        twin = rand_term(random.Random(seed), 4)
+        before = (hash(t), repr(t))
+        free_vars(t)
+        assert (hash(t), repr(t)) == before
+        assert t == twin and hash(t) == hash(twin)
+        assert nameless(t) == nameless(twin)
+    names = {
+        Var: ("name",), App: ("fun", "arg"), Abs: ("binder", "annot", "body"),
+        Exfalso: ("target", "arg"), Pair: ("fst", "snd"), Proj: ("index", "arg"),
+        Inj: ("index", "other", "arg"),
+        Case: ("scrutinee", "binder", "branch1", "branch2"),
+        Visser: ("binders", "main", "case_binder", "branch1", "branch2",
+                 "app_binder", "app_branches"),
+        Harrop: ("binder", "annot", "main", "case_binder", "branch1", "branch2"),
+    }
+    for cls, fields in names.items():
+        assert tuple(f.name for f in dataclasses.fields(cls)) == fields
+        assert cls.__match_args__ == fields
+
+
 def test_alpha_eq_basics():
     assert alpha_eq(Abs("x", A, Var("x")), Abs("y", A, Var("y")))
     assert not alpha_eq(Abs("x", A, Var("x")), Abs("x", B, Var("x")))
@@ -240,6 +322,17 @@ def _f_chain(n, end):
 
 def test_term_size_deep(default_recursion_limit):
     assert term_size(_f_chain(3000, Var("y"))) == 2 * 3000 + 1
+
+
+def test_free_vars_depth_and_nameless_deep(default_recursion_limit):
+    t = _f_chain(3000, Abs("x", A, App(Var("x"), Var("y"))))
+    assert free_vars(t) == {"f", "y"}
+    assert term_depth(t) == 3000 + 3
+    n = nameless(t)
+    for _ in range(3000):  # walk it, since tuple == recurses too
+        assert n[:2] == ("app", ("f", "f"))
+        n = n[2]
+    assert n == ("abs", A, ("app", ("b", 0), ("f", "y")))
 
 
 def test_replace_at_deep(default_recursion_limit):
