@@ -25,7 +25,7 @@ from .normalize import (
     eval_ipc, eval_v, extract_disjunct, normalize_full, normalize_kp,
     weak_head_normalize,
 )
-from .kripke import KripkeModel, find_countermodel, forces, is_valid_model
+from .kripke import KripkeModel, forces, is_valid_model
 from .oracle import (
     ClassReport, ClassificationFailure, NotProvable, Provable, classify,
     ipc_provable,
@@ -45,9 +45,9 @@ __all__ = [
     "Term", "TraceStep", "TypeCheckError",
     "TypeMismatch", "TypingContext", "UnknownVariable", "Var", "Visser",
     "VisserOpenAssumption", "alpha_eq", "check", "checks", "classify",
-    "decompose", "eval_ipc", "eval_v", "extract_disjunct",
-    "find_countermodel", "forces", "free_vars", "generate_typed", "infer",
-    "ipc_provable", "is_neg", "is_normal", "is_valid_model", "neg",
+    "decompose", "eval_ipc", "eval_v", "extract_disjunct", "forces",
+    "free_vars", "generate_typed", "infer", "ipc_provable", "is_neg",
+    "is_normal", "is_valid_model", "neg",
     "normalize_full", "normalize_kp", "parse_formula", "parse_script",
     "parse_term", "print_formula", "print_term", "replay_step",
     "shrink_typed", "step_anywhere", "step_top", "step_top_named",

@@ -15,8 +15,17 @@ four ways by the shape of its antecedent:
     implication: (C -> D) -> B   needs  D -> B |- C -> D, then B |- goal
 
 Every premise is smaller in the multiset order of formula weights, so the
-search needs no fuel.  Positive answers carry a proof term that is checked
-in IPC before being returned.
+search needs no fuel.
+
+Each hypothesis is paired with a term that proves it, its realizer
+(Dyckhoff, "Contraction-free sequent calculi for intuitionistic logic",
+1992).  A left rule puts the realizers of its new hypotheses straight into
+the premise: Proj(1, r) and Proj(2, r) for a conjunction, r r' for p -> B,
+fun c => fun d => r (c, d) for (C /\\ D) -> B, and so on.  So the proof
+term is built as the search goes, and no substitution is ever made; only
+real binders (a right implication, a case, the realizers' own lambdas)
+take a fresh name.  Positive answers are checked in IPC before being
+returned.
 
 A failed search is itself the countermodel (Pinto and Dyckhoff, "Loop-free
 construction of counter-models for intuitionistic propositional logic",
@@ -39,7 +48,7 @@ from dataclasses import dataclass
 
 from .syntax import (
     Abs, App, Atom, Case, Conj, Disj, Exfalso, Falsum, Formula, Impl, Inj,
-    Pair, Proj, Term, TypingContext, Var, is_neg, substitute,
+    Pair, Proj, Term, TypingContext, Var, is_neg,
 )
 from .typecheck import TypeCheckError, check, infer
 from .reduction import ExfalsoHead, InjectionHead, VarAppHead, decompose, is_normal
@@ -143,80 +152,65 @@ class _Fresh:
 
 
 def _prove(
-    hyps: list[tuple[str, Formula]], goal: Formula, fresh: _Fresh
+    hyps: list[tuple[Term, Formula]], goal: Formula, fresh: _Fresh
 ) -> Term | KripkeModel:
-    """Backtracking search: a proof term over the hypothesis names, or a
-    model whose root forces every hypothesis and refutes the goal."""
-    for name, a in hyps:
+    """Backtracking search over hypotheses paired with their realizers: a
+    proof term built from those realizers, or a model whose root forces
+    every hypothesis and refutes the goal."""
+    for r, a in hyps:
         if a == goal and isinstance(a, (Atom, Falsum)):
-            return Var(name)
-    for name, a in hyps:
+            return r
+    for r, a in hyps:
         if isinstance(a, Falsum):
-            return Exfalso(goal, Var(name))
+            return Exfalso(goal, r)
 
     # invertible left rules: each fires at most once and commits
-    for i, (name, a) in enumerate(hyps):
+    for i, (r, a) in enumerate(hyps):
         rest = hyps[:i] + hyps[i + 1:]
         match a:
-            case Conj(l, r):
-                n1, n2 = fresh(), fresh()
-                sub = _prove(rest + [(n1, l), (n2, r)], goal, fresh)
-                if isinstance(sub, KripkeModel):
-                    return sub
-                sub = substitute(sub, n1, Proj(1, Var(name)))
-                return substitute(sub, n2, Proj(2, Var(name)))
-            case Disj(l, r):
+            case Conj(c, d):
+                return _prove(rest + [(Proj(1, r), c), (Proj(2, r), d)], goal, fresh)
+            case Disj(c, d):
                 n = fresh()
-                sub1 = _prove(rest + [(n, l)], goal, fresh)
+                sub1 = _prove(rest + [(Var(n), c)], goal, fresh)
                 if isinstance(sub1, KripkeModel):
                     return sub1
-                sub2 = _prove(rest + [(n, r)], goal, fresh)
+                sub2 = _prove(rest + [(Var(n), d)], goal, fresh)
                 if isinstance(sub2, KripkeModel):
                     return sub2
-                return Case(Var(name), n, sub1, sub2)
+                return Case(r, n, sub1, sub2)
             case Impl(Falsum(), _):
                 return _prove(rest, goal, fresh)
             case Impl(Conj(c, d), b):
-                n = fresh()
-                sub = _prove(rest + [(n, Impl(c, Impl(d, b)))], goal, fresh)
-                if isinstance(sub, KripkeModel):
-                    return sub
                 xc, xd = fresh(), fresh()
-                realized = Abs(xc, c, Abs(xd, d, App(Var(name), Pair(Var(xc), Var(xd)))))
-                return substitute(sub, n, realized)
+                curried = Abs(xc, c, Abs(xd, d, App(r, Pair(Var(xc), Var(xd)))))
+                return _prove(rest + [(curried, Impl(c, Impl(d, b)))], goal, fresh)
             case Impl(Disj(c, d), b):
-                n1, n2 = fresh(), fresh()
-                sub = _prove(rest + [(n1, Impl(c, b)), (n2, Impl(d, b))], goal, fresh)
-                if isinstance(sub, KripkeModel):
-                    return sub
                 xc, xd = fresh(), fresh()
-                sub = substitute(sub, n1, Abs(xc, c, App(Var(name), Inj(1, d, Var(xc)))))
-                return substitute(sub, n2, Abs(xd, d, App(Var(name), Inj(2, c, Var(xd)))))
+                left = Abs(xc, c, App(r, Inj(1, d, Var(xc))))
+                right = Abs(xd, d, App(r, Inj(2, c, Var(xd))))
+                return _prove(rest + [(left, Impl(c, b)), (right, Impl(d, b))], goal, fresh)
             case Impl(Atom(p), b):
-                for name2, a2 in rest:
+                for r2, a2 in rest:
                     if a2 == Atom(p):
-                        n = fresh()
-                        sub = _prove(rest + [(n, b)], goal, fresh)
-                        if isinstance(sub, KripkeModel):
-                            return sub
-                        return substitute(sub, n, App(Var(name), Var(name2)))
+                        return _prove(rest + [(App(r, r2), b)], goal, fresh)
 
     # invertible right rules
     match goal:
-        case Conj(l, r):
-            t1 = _prove(hyps, l, fresh)
+        case Conj(c, d):
+            t1 = _prove(hyps, c, fresh)
             if isinstance(t1, KripkeModel):
                 return t1
-            t2 = _prove(hyps, r, fresh)
+            t2 = _prove(hyps, d, fresh)
             if isinstance(t2, KripkeModel):
                 return t2
             return Pair(t1, t2)
-        case Impl(l, r):
+        case Impl(c, d):
             n = fresh()
-            sub = _prove(hyps + [(n, l)], r, fresh)
+            sub = _prove(hyps + [(Var(n), c)], d, fresh)
             if isinstance(sub, KripkeModel):
                 return sub
-            return Abs(n, l, sub)
+            return Abs(n, c, sub)
 
     # the genuine choice points: a goal disjunct, or a nested left implication
     above: list[KripkeModel] = []  # the models of the failed choices
@@ -229,25 +223,22 @@ def _prove(
             return Inj(2, goal.left, t2)
         above += [t1, t2]
     refuted = None  # a failed right premise refutes this whole sequent
-    for i, (name, a) in enumerate(hyps):
+    for i, (r, a) in enumerate(hyps):
         match a:
             case Impl(Impl(c, d), b):
                 rest = hyps[:i] + hyps[i + 1:]
-                n = fresh()
-                arm = _prove(rest + [(n, Impl(d, b))], Impl(c, d), fresh)
+                xd, xc = fresh(), fresh()
+                back = Abs(xd, d, App(r, Abs(xc, c, Var(xd))))
+                arm = _prove(rest + [(back, Impl(d, b))], Impl(c, d), fresh)
                 if isinstance(arm, KripkeModel):
                     above.append(arm)
                     continue
-                xd, xc = fresh(), fresh()
-                realized = Abs(xd, d, App(Var(name), Abs(xc, c, Var(xd))))
-                arm = substitute(arm, n, realized)
-                v = fresh()
-                rest_t = _prove(rest + [(v, b)], goal, fresh)
-                if isinstance(rest_t, KripkeModel):
+                sub = _prove(rest + [(App(r, arm), b)], goal, fresh)
+                if isinstance(sub, KripkeModel):
                     if refuted is None:
-                        refuted = rest_t
+                        refuted = sub
                     continue
-                return substitute(rest_t, v, App(Var(name), arm))
+                return sub
     if refuted is not None:
         return refuted
     return glue([a.name for _, a in hyps if isinstance(a, Atom)], above)

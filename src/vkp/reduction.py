@@ -184,26 +184,32 @@ def context_along(t: Term, path: tuple[int, ...], ctx: TypingContext, calculus: 
 # ----------------------------------------------------- position enumeration
 
 
-def step_anywhere(t: Term, calculus: str = "IPC", ctx: TypingContext | None = None):
-    """All one-step reducts: (path, whole reduct) per firing position, preorder."""
-    root_ctx = dict(ctx) if ctx else {}
+def _redexes(t: Term, calculus: str, ctx: TypingContext | None):
+    """(path, reduct of the subterm there) for every firing position, in
+    preorder, lazily, from an explicit stack.  A child's context is made
+    when the walk reaches it, as a recursive walk would."""
     thread = contains_hop(t)  # only hop contractions consult the outer context
-    out: list[tuple[tuple[int, ...], Term]] = []
-
-    def walk(sub: Term, path: tuple[int, ...], local: TypingContext):
+    todo = [(t, (), dict(ctx) if ctx else {}, None, 0)]
+    while todo:
+        sub, path, local, parent, i = todo.pop()
+        if parent is not None and thread:
+            local = child_context(parent, i, local, calculus)
         r = step_top_named(sub, calculus, local)
         if r is not None:
-            out.append((path, replace_at(t, path, r[0])))
-        for i, c in enumerate(children(sub)):
-            nxt = child_context(sub, i, local, calculus) if thread else local
-            walk(c, path + (i,), nxt)
+            yield path, r[0]
+        cs = children(sub)
+        for j in range(len(cs) - 1, -1, -1):
+            todo.append((cs[j], path + (j,), local, sub, j))
 
-    walk(t, (), root_ctx)
-    return out
+
+def step_anywhere(t: Term, calculus: str = "IPC", ctx: TypingContext | None = None):
+    """All one-step reducts: (path, whole reduct) per firing position, preorder."""
+    return [(path, replace_at(t, path, r)) for path, r in _redexes(t, calculus, ctx)]
 
 
 def is_normal(t: Term, calculus: str = "IPC", ctx: TypingContext | None = None) -> bool:
-    return not step_anywhere(t, calculus, ctx)
+    """No position fires; the walk stops at the first redex."""
+    return next(_redexes(t, calculus, ctx), None) is None
 
 
 # ------------------------------------------------------- deterministic step

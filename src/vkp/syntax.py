@@ -1,9 +1,10 @@
 """Abstract syntax: formulas, proof terms, contexts.
 
 Terms carry named binders and a formula annotation at every binding site,
-so checking is syntax-directed.  Alpha-equivalence goes through a nameless
-index form; substitution is capture-avoiding and renames colliding binders
-deterministically (smallest unused numeric suffix).
+so checking is syntax-directed.  Alpha-equivalence compares the binding
+depths that the nameless index form counts; substitution is
+capture-avoiding and renames colliding binders deterministically
+(smallest unused numeric suffix).
 
 The free variables of a term are computed once per node and kept in a
 hidden `_fv` slot, which is not a dataclass field, so equality, hashing
@@ -496,8 +497,37 @@ def _nameless_node(t: Term, cs: list) -> tuple:
 
 
 def alpha_eq(t: Term, s: Term) -> bool:
-    """Term equality up to bound-variable names; annotations must agree."""
-    return nameless(t) == nameless(s)
+    """Term equality up to bound-variable names; annotations must agree.
+
+    The two terms are walked side by side over one explicit stack, each
+    with its scope (name -> binding depth) and the depth, as `nameless`
+    numbers them; two nodes match when their index forms would agree on
+    everything but their children.
+    """
+    todo = [(t, s, {}, {}, 0)]
+    while todo:
+        u, v, eu, ev, depth = todo.pop()
+        if isinstance(u, Var) or isinstance(v, Var):
+            if not (isinstance(u, Var) and isinstance(v, Var)):
+                return False
+            du, dv = eu.get(u.name), ev.get(v.name)
+            if du != dv or (du is None and u.name != v.name):
+                return False
+            continue
+        cu, cv = children(u), children(v)
+        blank = [None] * len(cu)
+        if len(cu) != len(cv) or _nameless_node(u, blank) != _nameless_node(v, blank):
+            return False
+        binding = isinstance(u, _BINDING)
+        for i in range(len(cu)):
+            e, f, d = eu, ev, depth
+            if binding and (bound := binders_of_child(u, i)):
+                e, f = dict(eu), dict(ev)
+                for x, y in zip(bound, binders_of_child(v, i)):
+                    e[x] = f[y] = d
+                    d += 1
+            todo.append((cu[i], cv[i], e, f, d))
+    return True
 
 
 def term_size(t: Term) -> int:

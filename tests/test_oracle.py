@@ -9,22 +9,22 @@ import pytest
 import vkp.oracle
 
 from vkp.gen import GenerationFailed, generate_typed, shrink_typed
-from vkp.kripke import (
-    KripkeModel, atoms_of, find_countermodel, forces, is_valid_model,
-)
+from vkp.kripke import KripkeModel, atoms_of, forces, is_valid_model
 from vkp.normalize import (
     InternalError, PreconditionViolation, eval_v, normalize_kp,
 )
 from vkp.oracle import (
     ClassificationFailure, NotProvable, Provable, classify, ipc_provable,
 )
-from vkp.parser import parse_formula
+from vkp.parser import parse_formula, parse_term
 from vkp.reduction import is_normal
 from vkp.syntax import (
     Abs, App, Atom, Conj, Disj, Exfalso, FALSUM, Impl, Inj, Pair, Proj, Var,
-    neg,
+    alpha_eq, neg,
 )
 from vkp.typecheck import check, checks, infer
+
+from kripke_reference import find_countermodel
 
 A = Atom("A")
 B = Atom("B")
@@ -148,6 +148,74 @@ def test_prover_accepts_tautologies_with_witnesses():
         a = parse_formula(s)
         r = ipc_provable(a)
         assert isinstance(r, Provable), s
+        check({}, r.witness, a, "IPC")
+
+
+# A recorded witness for each of TAUTOLOGIES.  The prover must keep giving
+# these up to the names of bound variables, which depend only on how many
+# fresh names the search draws.
+TAUTOLOGY_WITNESSES = [
+    "fun (h1 : A) => h1",
+    "fun (h1 : A) => fun (h2 : B) => h1",
+    "fun (h1 : A -> B -> C) => fun (h2 : A -> B) => fun (h3 : A) => h1 h3 (h2 h3)",
+    "fun (h1 : A) => fun (h2 : ~A) => h2 h1",
+    "fun (h1 : ~~~A) => fun (h2 : A) => h1 (fun (h4 : ~A) => h4 h2)",
+    "fun (h1 : False) => exfalso[A] h1",
+    "fun (h1 : A /\\ B) => (proj2 h1, proj1 h1)",
+    "fun (h1 : A \\/ B) => case h1 of { h2 => inj2[B] h2 | h2 => inj1[A] h2 }",
+    "fun (h1 : (A -> C) /\\ (B -> C)) => fun (h4 : A \\/ B) =>"
+    " case h4 of { h5 => proj1 h1 h5 | h5 => proj2 h1 h5 }",
+    "fun (h1 : A /\\ (B \\/ C)) => case proj2 h1 of"
+    " { h4 => inj1[A /\\ C] (proj1 h1, h4) | h4 => inj2[A /\\ B] (proj1 h1, h4) }",
+    "fun (h1 : A /\\ B \\/ A /\\ C) => case h1 of"
+    " { h2 => (proj1 h2, inj1[C] proj2 h2) | h2 => (proj1 h2, inj2[B] proj2 h2) }",
+    "fun (h1 : A \\/ B -> C) => (fun (h4 : A) => (fun (h8 : A) => h1 inj1[B] h8) h4,"
+    " fun (h6 : B) => (fun (h9 : B) => h1 inj2[A] h9) h6)",
+    "fun (h1 : ~(A \\/ B)) => (fun (h4 : A) => (fun (h8 : A) => h1 inj1[B] h8) h4,"
+    " fun (h6 : B) => (fun (h9 : B) => h1 inj2[A] h9) h6)",
+    "fun (h1 : ~A /\\ ~B) => fun (h4 : A \\/ B) =>"
+    " case h4 of { h5 => proj1 h1 h5 | h5 => proj2 h1 h5 }",
+    "fun (h1 : A -> B) => fun (h2 : ~B) => fun (h3 : A) => h2 (h1 h3)",
+    "fun (h1 : ~(A \\/ ~A)) => (fun (h11 : ~A) => h1 inj2[A] h11)"
+    " (fun (h5 : A) => (fun (h10 : A) => h1 inj1[~A] h10) h5)",
+    "fun (h1 : (A -> B) -> A) => fun (h2 : ~A) =>"
+    " h2 (h1 (fun (h4 : A) => exfalso[B] (h2 h4)))",
+]
+
+
+def test_prover_witnesses_are_pinned():
+    assert len(TAUTOLOGY_WITNESSES) == len(TAUTOLOGIES)
+    for s, w in zip(TAUTOLOGIES, TAUTOLOGY_WITNESSES):
+        r = ipc_provable(parse_formula(s))
+        assert isinstance(r, Provable), s
+        assert alpha_eq(r.witness, parse_term(w)), s
+
+
+def _iff(a, b):
+    return Conj(Impl(a, b), Impl(b, a))
+
+
+def _big_and(parts):
+    out = parts[-1]
+    for x in reversed(parts[:-1]):
+        out = Conj(x, out)
+    return out
+
+
+def _de_bruijn(n):
+    """de Bruijn's formula (ILTP SYJ201): 2n + 1 atoms in a cycle, where
+    each equivalence of neighbours implies all the atoms; then all hold."""
+    ps = [Atom(f"p{i}") for i in range(1, 2 * n + 2)]
+    every = _big_and(ps)
+    cycle = [Impl(_iff(p, q), every) for p, q in zip(ps, ps[1:] + ps[:1])]
+    return Impl(_big_and(cycle), every)
+
+
+def test_de_bruijn_formulas_proved():
+    for n in (1, 2, 3):
+        a = _de_bruijn(n)
+        r = ipc_provable(a)
+        assert isinstance(r, Provable), n
         check({}, r.witness, a, "IPC")
 
 

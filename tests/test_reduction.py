@@ -243,6 +243,38 @@ def test_step_anywhere_under_binders():
     assert got == [((0,), Abs("u", A, Var("u")))]
 
 
+def _f_chain(n, end):
+    """f (f (... end)), n applications deep."""
+    for _ in range(n):
+        end = App(Var("f"), end)
+    return end
+
+
+def test_step_anywhere_and_is_normal_deep(default_recursion_limit):
+    assert step_anywhere(_f_chain(3000, Var("y")), "IPC") == []
+    assert is_normal(_f_chain(3000, Var("y")), "IPC")
+    t = _f_chain(3000, App(Abs("x", A, Var("x")), Var("y")))
+    [(path, r)] = step_anywhere(t, "IPC")
+    assert path == (1,) * 3000
+    for _ in range(3000):  # walk it, since dataclass == recurses
+        assert isinstance(r, App) and r.fun == Var("f")
+        r = r.arg
+    assert r == Var("y")
+    assert not is_normal(t, "IPC")
+
+
+def test_is_normal_builds_no_reduct(monkeypatch):
+    import vkp.reduction
+
+    def no_plugging(*args):
+        raise AssertionError("is_normal built a reduct")
+
+    monkeypatch.setattr(vkp.reduction, "replace_at", no_plugging)
+    t = Pair(App(Abs("x", A, Var("x")), Var("a")), App(Abs("y", B, Var("y")), Var("b")))
+    assert not is_normal(t, "IPC")
+    assert is_normal(Pair(Var("a"), Var("b")), "IPC")
+
+
 def test_step_weak_head_projection_chain():
     t = Proj(1, App(Abs("x", Conj(A, B), Var("x")), Var("p")))
     r = step_weak_head_named(t, {"p": Conj(A, B)})

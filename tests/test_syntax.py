@@ -293,6 +293,21 @@ def test_alpha_eq_visser_binder_order_matters():
     assert not alpha_eq(t1, t3)
 
 
+def test_alpha_eq_matches_the_index_forms():
+    rng = random.Random(11)
+    fresh = fresh_stream()
+    terms = [rand_term(rng, 4, ("x", "y")) for _ in range(200)]
+    equal = 0
+    for t in terms:
+        renamed = subst_oracle(t, "unused", Var("unused"), fresh)
+        assert alpha_eq(t, renamed) and alpha_eq(renamed, t)
+        for u in rng.sample(terms, 8):
+            want = nameless(t) == nameless(u)
+            assert alpha_eq(t, u) == want == alpha_eq(renamed, u)
+            equal += want
+    assert 0 < equal < 200 * 8
+
+
 def test_nameless_distinguishes_bound_levels():
     t1 = Abs("x", A, Abs("y", A, Var("x")))
     t2 = Abs("x", A, Abs("y", A, Var("y")))
@@ -333,6 +348,14 @@ def test_free_vars_depth_and_nameless_deep(default_recursion_limit):
         assert n[:2] == ("app", ("f", "f"))
         n = n[2]
     assert n == ("abs", A, ("app", ("b", 0), ("f", "y")))
+
+
+def test_alpha_eq_deep(default_recursion_limit):
+    t = _f_chain(3000, Abs("x", A, App(Var("x"), Var("y"))))
+    assert alpha_eq(t, _f_chain(3000, Abs("z", A, App(Var("z"), Var("y")))))
+    assert not alpha_eq(t, _f_chain(3000, Abs("z", A, App(Var("z"), Var("w")))))
+    assert not alpha_eq(t, _f_chain(3000, Abs("z", B, App(Var("z"), Var("y")))))
+    assert not alpha_eq(t, _f_chain(2999, Abs("z", A, App(Var("z"), Var("y")))))
 
 
 def test_replace_at_deep(default_recursion_limit):
