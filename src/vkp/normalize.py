@@ -1,38 +1,36 @@
 """Normalization strategies and disjunct extraction.
 
-Full normalization (normalize_full, eval_ipc, normalize_kp, and eval_v
-at each rebuilt node that is a redex) goes through one loop, _run: an
-iterative leftmost-outermost walk that contracts the first redex in
-preorder (the head spine first, then the children left to right, under
-binders included).  The walk keeps an explicit stack of (parent, child
-index) frames instead of recursing, so the depth of a redex is not limited
-by the interpreter's recursion limit; substitution and inference still
-recurse over the subterms they touch.  These are the frames head contexts
-are made of too, and the one plug, syntax._plug, rebuilds the term from
-them.  A contraction can only turn ancestors reached through child-0 links
-into redexes, so after one the walk backs up over those frames only, with
-one plug over the popped frames, and carries on; nothing to its left is
+There is one normalization walk, normalize_full; eval_ipc, normalize_kp
+and eval_v check their precondition and run it.  It is an iterative
+leftmost-outermost walk that contracts the first redex in preorder (the
+head spine first, then the children left to right, under binders
+included).  The walk keeps an explicit stack of (parent, child index)
+frames instead of recursing, so the depth of a redex is not limited by the
+interpreter's recursion limit; substitution and inference still recurse
+over the subterms they touch.  These are the frames head contexts are made
+of too, and the one plug, syntax._plug, rebuilds the term from them.  A
+contraction can only turn ancestors reached through child-0 links into
+redexes (a visser or hop fires on the head spine of its main premise,
+child 0), so after one the walk backs up over those frames only, with one
+plug over the popped frames, and carries on; nothing to its left is
 scanned again.
 weak_head_normalize iterates the KP head step.  Every strategy counts
 steps against a budget and refuses to return a truncated term.
 
-eval_v is the structural evaluator taking a well-typed V term to a normal
-term with no visser nodes: it evaluates subterms, reads the shape of each
-evaluated main premise, and pushes the abstracted payload into the chosen
-branch.  The result proves the same formula in plain IPC.
+eval_v is that walk in V followed by a check that no visser node is left:
+a V normal form is a plain intuitionistic term proving the same formula.
 """
 
 from __future__ import annotations
 
 from .syntax import (
-    Abs, App, Case, Disj, Exfalso, Harrop, Inj, Pair, Proj, Term,
-    TypingContext, Var, Visser, children, free_vars, substitute, _plug,
-    _subterms,
+    Disj, Harrop, Inj, Term, TypingContext, Var, Visser, children, free_vars,
+    _plug, _subterms,
 )
 from .typecheck import TypeCheckError, infer
 from .reduction import (
-    ExfalsoHead, InjectionHead, TraceStep, VarAppHead, child_context,
-    contains_hop, decompose, step_top_named, step_weak_head_named, _lams,
+    TraceStep, child_context, contains_hop, step_top_named,
+    step_weak_head_named,
 )
 
 DEFAULT_BUDGET = 10**6
@@ -55,38 +53,34 @@ class InternalError(Exception):
     """A kernel invariant failed; this is a bug, not a user error."""
 
 
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-
-def _run(
+def normalize_full(
     t: Term,
-    meter: _Budget,
     calculus: str = "IPC",
     ctx: TypingContext | None = None,
+    budget: int | None = None,
     trace: list[TraceStep] | None = None,
-    thread: bool = False,
 ) -> Term:
-    """Contract the first redex in preorder until none is left.
+    """Reduce to a term with no remaining contractions anywhere.
 
     `frames` are the walk's (parent, child index) frames, outermost first,
     and ctxs[j] is the context of frames[j]'s parent; a parent is current
-    in every child but the one the walk is in.  `thread`, which must be
-    set only in KP and only while the term holds a hop, passes binder types
-    down to every child (only hop contractions read them); visser and hop
-    main premises get theirs regardless.
+    in every child but the one the walk is in.  Only hop contractions read
+    the context, so binder types are passed down (`thread`) only in KP and
+    only while the term holds a hop; elsewhere a hop is refused.
     """
+    limit = DEFAULT_BUDGET if budget is None else budget
+    used = 0
+    thread = calculus == "KP" and contains_hop(t)
     frames: list[tuple[Term, int]] = []
     ctxs: list[TypingContext] = []
-    cur, cctx, whole = t, ctx or {}, t
+    cur, cctx, whole = t, dict(ctx) if ctx else {}, t
     while True:
-        r = step_top_named(cur, calculus, cctx)
+        # a variable is never a redex
+        r = None if isinstance(cur, Var) else step_top_named(cur, calculus, cctx)
         if r is not None:
-            if meter.used >= meter.limit:
-                raise BudgetExceeded(_plug(frames, cur), meter.used)
-            meter.used += 1
+            if used >= limit:
+                raise BudgetExceeded(_plug(frames, cur), used)
+            used += 1
             cur, rule = r
             if trace is not None:
                 after = _plug(frames, cur)
@@ -117,24 +111,7 @@ def _run(
         frames.append((parent, i))
         ctxs.append(pctx)
         cur = children(parent)[i]
-        if thread or i == 0 and isinstance(parent, (Visser, Harrop)):
-            cctx = child_context(parent, i, pctx, calculus)
-        else:
-            cctx = pctx
-
-
-def normalize_full(
-    t: Term,
-    calculus: str = "IPC",
-    ctx: TypingContext | None = None,
-    budget: int | None = None,
-    trace: list[TraceStep] | None = None,
-) -> Term:
-    """Reduce to a term with no remaining contractions anywhere."""
-    root_ctx = dict(ctx) if ctx else {}
-    meter = _Budget(DEFAULT_BUDGET if budget is None else budget)
-    thread = calculus == "KP" and contains_hop(t)  # elsewhere a hop is refused
-    return _run(t, meter, calculus, root_ctx, trace, thread)
+        cctx = child_context(parent, i, pctx, calculus) if thread else pctx
 
 
 def weak_head_normalize(
@@ -194,62 +171,16 @@ def normalize_kp(
 
 
 def eval_v(t: Term, ctx: TypingContext | None = None, budget: int | None = None) -> Term:
-    """Evaluate a V term to an IPC normal form of the same type."""
+    """Normalize a V term to an IPC normal form of the same type."""
     root_ctx = dict(ctx) if ctx else {}
     _require_typed(t, root_ctx, "V")
-    meter = _Budget(DEFAULT_BUDGET if budget is None else budget)
-    return _ev(t, meter)
-
-
-def _renormalize(t: Term, meter: _Budget) -> Term:
-    """Normalize a node rebuilt from normal children: only a redex at its
-    root needs the walk."""
-    return t if step_top_named(t) is None else _run(t, meter)
-
-
-def _ev(t: Term, meter: _Budget) -> Term:
-    match t:
-        case Var():
-            return t
-        case Abs(x, a, b):
-            return Abs(x, a, _ev(b, meter))
-        case Exfalso(f, a):
-            return Exfalso(f, _ev(a, meter))
-        case Pair(a, b):
-            return Pair(_ev(a, meter), _ev(b, meter))
-        case App(f, a):
-            return _renormalize(App(_ev(f, meter), _ev(a, meter)), meter)
-        case Proj(i, a):
-            return _renormalize(Proj(i, _ev(a, meter)), meter)
-        case Inj(i, o, a):
-            return Inj(i, o, _ev(a, meter))
-        case Case(sc, y, b1, b2):
-            rebuilt = Case(_ev(sc, meter), y, _ev(b1, meter), _ev(b2, meter))
-            return _renormalize(rebuilt, meter)
-        case Visser(bs, m, y, b1, b2, z, us):
-            em = _ev(m, meter)
-            d = decompose(em)
-            match d:
-                case InjectionHead(i, p):
-                    branch = _ev(b1 if i == 1 else b2, meter)
-                    return _run(substitute(branch, y, _lams(bs, p)), meter)
-                case ExfalsoHead(_, p):
-                    ty = infer(dict(bs), em, "IPC")
-                    arg = _lams(bs, Exfalso(ty.left, p))
-                    return _run(substitute(_ev(b1, meter), y, arg), meter)
-                case VarAppHead(_, v, a):
-                    names = [n for n, _ in bs]
-                    if v not in names:
-                        raise InternalError(f"evaluated main premise headed by {v}")
-                    u = _ev(us[names.index(v)], meter)
-                    return _run(substitute(u, z, _lams(bs, a)), meter)
-            raise InternalError(
-                "evaluated visser main premise fits no head shape; "
-                "this contradicts the classification of normal forms"
-            )
-        case Harrop():
-            raise PreconditionViolation("hop does not belong to V")
-    raise TypeError(f"not a term: {t!r}")
+    nf = normalize_full(t, "V", root_ctx, budget)
+    if any(isinstance(s, Visser) for s in _subterms(nf)):
+        raise InternalError(
+            "a visser node survives normalization; "
+            "this contradicts the classification of normal forms"
+        )
+    return nf
 
 
 def extract_disjunct(t: Term, calculus: str = "KP", budget: int | None = None):

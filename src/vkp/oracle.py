@@ -151,6 +151,12 @@ class _Fresh:
         return f"h{self.k}"
 
 
+def _without(hyps: list, i: int) -> list:
+    """A new list of the hypotheses but the i-th; built only for a rule
+    that fires."""
+    return hyps[:i] + hyps[i + 1:]
+
+
 def _prove(
     hyps: list[tuple[Term, Formula]], goal: Formula, fresh: _Fresh
 ) -> Term | KripkeModel:
@@ -166,12 +172,12 @@ def _prove(
 
     # invertible left rules: each fires at most once and commits
     for i, (r, a) in enumerate(hyps):
-        rest = hyps[:i] + hyps[i + 1:]
         match a:
             case Conj(c, d):
-                return _prove(rest + [(Proj(1, r), c), (Proj(2, r), d)], goal, fresh)
+                return _prove(_without(hyps, i) + [(Proj(1, r), c), (Proj(2, r), d)],
+                              goal, fresh)
             case Disj(c, d):
-                n = fresh()
+                rest, n = _without(hyps, i), fresh()
                 sub1 = _prove(rest + [(Var(n), c)], goal, fresh)
                 if isinstance(sub1, KripkeModel):
                     return sub1
@@ -180,20 +186,22 @@ def _prove(
                     return sub2
                 return Case(r, n, sub1, sub2)
             case Impl(Falsum(), _):
-                return _prove(rest, goal, fresh)
+                return _prove(_without(hyps, i), goal, fresh)
             case Impl(Conj(c, d), b):
                 xc, xd = fresh(), fresh()
                 curried = Abs(xc, c, Abs(xd, d, App(r, Pair(Var(xc), Var(xd)))))
-                return _prove(rest + [(curried, Impl(c, Impl(d, b)))], goal, fresh)
+                return _prove(_without(hyps, i) + [(curried, Impl(c, Impl(d, b)))],
+                              goal, fresh)
             case Impl(Disj(c, d), b):
                 xc, xd = fresh(), fresh()
                 left = Abs(xc, c, App(r, Inj(1, d, Var(xc))))
                 right = Abs(xd, d, App(r, Inj(2, c, Var(xd))))
-                return _prove(rest + [(left, Impl(c, b)), (right, Impl(d, b))], goal, fresh)
-            case Impl(Atom(p), b):
-                for r2, a2 in rest:
-                    if a2 == Atom(p):
-                        return _prove(rest + [(App(r, r2), b)], goal, fresh)
+                return _prove(_without(hyps, i) + [(left, Impl(c, b)), (right, Impl(d, b))],
+                              goal, fresh)
+            case Impl(Atom() as p, b):
+                for r2, a2 in hyps:  # hyps[i] is no atom, so this is rest's first p
+                    if a2 == p:
+                        return _prove(_without(hyps, i) + [(App(r, r2), b)], goal, fresh)
 
     # invertible right rules
     match goal:
@@ -226,7 +234,7 @@ def _prove(
     for i, (r, a) in enumerate(hyps):
         match a:
             case Impl(Impl(c, d), b):
-                rest = hyps[:i] + hyps[i + 1:]
+                rest = _without(hyps, i)
                 xd, xc = fresh(), fresh()
                 back = Abs(xd, d, App(r, Abs(xc, c, Var(xd))))
                 arm = _prove(rest + [(back, Impl(d, b))], Impl(c, d), fresh)

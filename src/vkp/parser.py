@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .syntax import (
     Abs, App, Atom, Case, Conj, Disj, Exfalso, Falsum, Formula, Harrop, Impl,
-    Inj, Pair, Proj, Term, Var, Visser, CALCULI, substitute,
+    Inj, Pair, Proj, Term, Var, Visser, CALCULI, free_vars, substitute,
 )
 
 
@@ -304,7 +304,7 @@ class _Parser:
     # scripts
 
     def script(self) -> list[Declaration]:
-        decls: list[Declaration] = []
+        defs: dict[str, Declaration] = {}
         calculus = "IPC"
         while not self.at("eof"):
             if self.eat("kw", "calculus"):
@@ -319,18 +319,21 @@ class _Parser:
             if self.at("kw", "def"):
                 kw = self.advance()
                 name = self.expect_ident().value
-                if any(d.name == name for d in decls):
+                if name in defs:
                     raise ParseError(f"duplicate definition {name}", kw.line, kw.col)
                 self.expect("sym", ":")
                 a = self.formula()
                 self.expect("sym", ":=")
                 body = self.term()
-                for prior in decls:
+                # newest first, and only the names this body uses: an inlined
+                # body may name a later definition, which must stay free
+                used = [defs[n] for n in free_vars(body) if n in defs]
+                for prior in sorted(used, key=lambda d: (d.line, d.col), reverse=True):
                     body = substitute(body, prior.name, prior.body)
-                decls.append(Declaration(name, a, body, calculus, kw.line, kw.col))
+                defs[name] = Declaration(name, a, body, calculus, kw.line, kw.col)
                 continue
             self.fail(("def", "calculus"))
-        return decls
+        return list(defs.values())
 
 
 @dataclass(frozen=True)

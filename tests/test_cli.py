@@ -62,6 +62,21 @@ def test_check_parse_error(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+def test_later_definition_is_not_captured(tmp_path, capsys):
+    # `a` names `b` before `b` is defined, so `c := a` is unknown there too
+    f = tmp_path / "scope.vkp"
+    f.write_text("calculus IPC\n"
+                 "def a : p -> p := b\n"
+                 "def b : p -> p := fun (x : p) => x\n"
+                 "def c : p -> p := a\n")
+    assert main(["check", str(f)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "b : OK (p -> p)" in out
+    assert "c : error at line 4, column 1: unknown variable b" in out
+    assert main(["normalize", str(f), "c"]) == 1
+    assert capsys.readouterr().err == "c : error at line 4, column 1: unknown variable b\n"
+
+
 def test_normalize_trace_text(capsys):
     assert main(["normalize", HARROP, "hop_applied", "--trace"]) == 0
     out = capsys.readouterr().out.splitlines()

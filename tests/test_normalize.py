@@ -357,3 +357,37 @@ def test_eval_v_walks_only_rebuilt_redexes(monkeypatch):
     n = 300
     assert _is_f_iterated(eval_v(_chain(n, lambda e: e), CHAIN_CTX), n)
     assert calls <= 2 * n
+
+
+def _visser_redex(e):
+    return Visser((("x1", Impl(A, A)),), Inj(1, A, Var("x1")),
+                  "v", e, Var("y"), "u", (Var("y"),))
+
+
+def test_eval_v_walks_visser_chain_once(monkeypatch):
+    # a contracted visser leaves its branch in place, and the walk carries on
+    # into it instead of evaluating the branch and scanning it again
+    calls = 0
+    contract = vkp.normalize.step_top_named
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return contract(*args)
+
+    monkeypatch.setattr(vkp.normalize, "step_top_named", counting)
+    n = 200
+    assert _is_f_iterated(eval_v(_chain(n, _visser_redex), CHAIN_CTX), n)
+    assert calls <= 2 * n
+
+
+def test_eval_v_budget_counts_visser_steps():
+    t = parse_term("(fun (k : (B -> B) -> B -> B) => k)"
+                   " (visser (x1 : B -> B). inj1[A] x1 of"
+                   " { y => y | y => fun (w : B -> B) => w"
+                   " | z => fun (w : B -> B) => w })")
+    assert eval_v(t, budget=2) == Abs("x1", Impl(B, B), Var("x1"))
+    with pytest.raises(BudgetExceeded) as e:
+        eval_v(t, budget=1)
+    assert e.value.steps == 1
+    assert infer({}, e.value.last, "V") == infer({}, t, "V")

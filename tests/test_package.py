@@ -1,6 +1,9 @@
 """The public surface of the vkp package."""
 
+import ast
+import sys
 import types
+from pathlib import Path
 
 import vkp
 
@@ -14,3 +17,21 @@ def test_all_resolves_and_lists_every_public_name():
     }
     assert len(vkp.__all__) == len(set(vkp.__all__))
     assert set(vkp.__all__) == public
+
+
+def test_package_imports_only_the_standard_library():
+    # relative imports (level > 0) stay inside the package
+    src = Path(vkp.__file__).parent
+    files = sorted(src.glob("*.py"))
+    assert files
+    for f in files:
+        for node in ast.walk(ast.parse(f.read_text(), str(f))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names, f"{f.name} imports {name}"

@@ -2,6 +2,8 @@
 
 import pytest
 
+import vkp.parser
+
 from vkp.gen import generate_typed
 from vkp.parser import (
     ParseError, parse_formula, parse_script, parse_term, print_formula,
@@ -168,6 +170,29 @@ def test_script_duplicate_names_rejected():
     src = "def a : p -> p := fun (x : p) => x\ndef a : p -> p := fun (x : p) => x"
     with pytest.raises(ParseError):
         parse_script(src)
+
+
+def test_script_inlines_only_earlier_names_the_body_uses(monkeypatch):
+    # a definition that names a later one keeps it free: inlining `a` into
+    # `c` must not let the later `b` capture it
+    src = ("def a : p -> p := b\n"
+           "def b : p -> p := fun (x : p) => x\n"
+           "def c : p -> p := a")
+    assert [d.body for d in parse_script(src)] == [
+        Var("b"), Abs("x", Atom("p"), Var("x")), Var("b"),
+    ]
+    calls = 0
+    substitute = vkp.parser.substitute
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return substitute(*args)
+
+    monkeypatch.setattr(vkp.parser, "substitute", counting)
+    flat = "".join(f"def d{i} : p -> p := fun (x : p) => x\n" for i in range(400))
+    assert len(parse_script(flat)) == 400
+    assert calls == 0
 
 
 def test_script_bad_calculus_rejected():
