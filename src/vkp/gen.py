@@ -9,16 +9,25 @@ with a fixed bias so roughly a third of the output exercises them.
 Everything is driven by one random.Random(seed); equal seeds give equal
 output.  Choices over context entries go through sorted lists, never raw
 dict or set iteration.
+
+The context is indexed once, when it is built: `_Ctx` keeps the entries
+that each kind of move can use, keyed by the formula the move must match,
+and `_Ctx.add` extends a parent's index by one binding.  Every list in
+the index is in name order, the order of `sorted(ctx.items())`, because
+`rng.choice` picks by position.  Names sort as strings, so `v10` comes
+before `v2`: a new entry is inserted at its sorted place, not appended.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from operator import itemgetter
 
 from .syntax import (
     Abs, App, Atom, Case, Conj, Disj, Exfalso, FALSUM, Falsum, Formula,
     Harrop, Impl, Inj, Pair, Proj, Term, TypingContext, Var, Visser,
-    free_vars, neg, replace_at, subterm_at, children, term_size, nameless,
+    free_vars, neg, replace_at, children, term_size, nameless,
 )
 from .typecheck import _curried, checks
 from .normalize import InternalError
@@ -89,7 +98,62 @@ def _weighted_order(rng: random.Random, moves):
     return out
 
 
-def _inhabit(st: _GenState, ctx: TypingContext, goal: Formula, depth: int,
+_NAME = itemgetter(0)
+_NO_MOVES = ((), (), (), ())  # a row of _Ctx.goals: direct, heads, heads2, sides
+
+
+def _insort(entries: tuple, e, key=None) -> tuple:
+    """entries with e inserted after every entry of the same or a smaller name."""
+    i = bisect_right(entries, e if key is None else key(e), key=key)
+    return (*entries[:i], e, *entries[i:])
+
+
+def _put(goals: dict, goal: Formula, slot: int, e, key=_NAME) -> None:
+    row = list(goals.get(goal, _NO_MOVES))
+    row[slot] = _insort(row[slot], e, key)
+    goals[goal] = tuple(row)
+
+
+class _Ctx:
+    """A typing context, indexed by what the moves of _inhabit look up.
+
+    `goals` maps a goal C to four tuples: the names bound to C (direct),
+    the entries (n, A -> C) (heads), the entries (n, A -> B -> C) (heads2)
+    and the conjunction sides (n, C /\\ B, 1) and (n, B /\\ C, 2) (sides).
+    One lookup, and so one hash of the goal, serves all four moves.
+    """
+
+    __slots__ = ("goals", "disjs", "bots", "negs")
+
+    def __init__(self, goals: dict | None = None, disjs=(), bots=(), negs=()):
+        self.goals = {} if goals is None else goals
+        self.disjs = disjs  # (n, A \/ B)
+        self.bots = bots    # names n with n : False
+        self.negs = negs    # (n, ~A)
+
+    def add(self, x: str, a: Formula) -> _Ctx:
+        """The context with x : a added; x must not be bound yet."""
+        cx = _Ctx(dict(self.goals), self.disjs, self.bots, self.negs)
+        goals = cx.goals
+        _put(goals, a, 0, x, None)
+        match a:
+            case Impl(_, r):
+                _put(goals, r, 1, (x, a))
+                if isinstance(r, Impl):
+                    _put(goals, r.right, 2, (x, a))
+                elif isinstance(r, Falsum):
+                    cx.negs = _insort(self.negs, (x, a), _NAME)
+            case Conj(l, r):
+                _put(goals, l, 3, (x, a, 1))
+                _put(goals, r, 3, (x, a, 2))
+            case Disj():
+                cx.disjs = _insort(self.disjs, (x, a), _NAME)
+            case Falsum():
+                cx.bots = _insort(self.bots, x)
+        return cx
+
+
+def _inhabit(st: _GenState, ctx: _Ctx, goal: Formula, depth: int,
              calculus: str) -> Term | None:
     if st.spend():
         return None
@@ -106,38 +170,29 @@ def _inhabit(st: _GenState, ctx: TypingContext, goal: Formula, depth: int,
                 return t
 
     moves: list[tuple[float, object]] = []
-    items = sorted(ctx.items())
 
-    direct = [n for n, a in items if a == goal]
+    direct, heads, heads2, side_matches = ctx.goals.get(goal, _NO_MOVES)
     if direct:
         moves.append((2.5, lambda: Var(rng.choice(direct))))
 
     if isinstance(goal, (Impl, Conj, Disj)):
         moves.append((2.0, lambda: _intro(st, ctx, goal, depth, calculus)))
 
-    heads = [(n, a) for n, a in items if isinstance(a, Impl) and a.right == goal]
     if heads and depth >= 1:
         moves.append((2.0, lambda: _app_ctx(st, ctx, heads, depth, calculus)))
-    heads2 = [(n, a) for n, a in items
-              if isinstance(a, Impl) and isinstance(a.right, Impl)
-              and a.right.right == goal]
     if heads2 and depth >= 2:
         moves.append((0.8, lambda: _app_ctx2(st, ctx, heads2, depth, calculus)))
 
-    disjs = [(n, a) for n, a in items if isinstance(a, Disj)]
+    disjs = ctx.disjs
     if disjs and depth >= 1:
         moves.append((1.2, lambda: _case_ctx(st, ctx, disjs, goal, depth, calculus)))
-    conjs = [(n, a) for n, a in items if isinstance(a, Conj)]
-    if conjs:
-        side_matches = [(n, a, i) for n, a in conjs
-                        for i in (1, 2) if (a.left, a.right)[i - 1] == goal]
-        if side_matches:
-            moves.append((1.5, lambda: _proj_ctx(rng, side_matches)))
+    if side_matches:
+        moves.append((1.5, lambda: _proj_ctx(rng, side_matches)))
 
-    bots = [n for n, a in items if isinstance(a, Falsum)]
+    bots = ctx.bots
     if bots:
         moves.append((1.5, lambda: Exfalso(goal, Var(rng.choice(bots)))))
-    negs = [(n, a) for n, a in items if isinstance(a, Impl) and a.right == FALSUM]
+    negs = ctx.negs
     if negs and depth >= 2:
         moves.append((0.7, lambda: _exfalso_neg(st, ctx, negs, goal, depth, calculus)))
 
@@ -159,7 +214,7 @@ def _intro(st, ctx, goal, depth, calculus):
     match goal:
         case Impl(l, r):
             x = st.fresh()
-            body = _inhabit(st, {**ctx, x: l}, r, depth - 1, calculus)
+            body = _inhabit(st, ctx.add(x, l), r, depth - 1, calculus)
             return None if body is None else Abs(x, l, body)
         case Conj(l, r):
             t1 = _inhabit(st, ctx, l, depth - 1, calculus)
@@ -195,10 +250,10 @@ def _app_ctx2(st, ctx, heads, depth, calculus):
 def _case_ctx(st, ctx, disjs, goal, depth, calculus):
     n, a = st.rng.choice(disjs)
     y = st.fresh()
-    b1 = _inhabit(st, {**ctx, y: a.left}, goal, depth - 1, calculus)
+    b1 = _inhabit(st, ctx.add(y, a.left), goal, depth - 1, calculus)
     if b1 is None:
         return None
-    b2 = _inhabit(st, {**ctx, y: a.right}, goal, depth - 1, calculus)
+    b2 = _inhabit(st, ctx.add(y, a.right), goal, depth - 1, calculus)
     return None if b2 is None else Case(Var(n), y, b1, b2)
 
 
@@ -223,7 +278,7 @@ def _beta_redex(st, ctx, goal, depth, calculus):
     if arg_ty == goal and rng.random() < 0.6:
         body = Var(x)
     else:
-        body = _inhabit(st, {**ctx, x: arg_ty}, goal, depth - 2, calculus)
+        body = _inhabit(st, ctx.add(x, arg_ty), goal, depth - 2, calculus)
         if body is None:
             return None
     return App(Abs(x, arg_ty, body), arg)
@@ -252,10 +307,10 @@ def _case_redex(st, ctx, goal, depth, calculus):
     if payload is None:
         return None
     y = st.fresh()
-    b1 = _inhabit(st, {**ctx, y: l}, goal, depth - 2, calculus)
+    b1 = _inhabit(st, ctx.add(y, l), goal, depth - 2, calculus)
     if b1 is None:
         return None
-    b2 = _inhabit(st, {**ctx, y: r}, goal, depth - 2, calculus)
+    b2 = _inhabit(st, ctx.add(y, r), goal, depth - 2, calculus)
     if b2 is None:
         return None
     scrut = Inj(i, r if i == 1 else l, payload)
@@ -267,14 +322,14 @@ def _try_harrop(st, ctx, goal, depth, calculus):
     annot = neg(_formula(rng, 1, st.atoms))
     x = st.fresh()
     disj = Disj(_formula(rng, 1, st.atoms), _formula(rng, 1, st.atoms))
-    main = _inhabit(st, {**ctx, x: annot}, disj, depth - 1, calculus)
+    main = _inhabit(st, ctx.add(x, annot), disj, depth - 1, calculus)
     if main is None:
         return None
     y = st.fresh()
-    b1 = _inhabit(st, {**ctx, y: Impl(annot, disj.left)}, goal, depth - 1, calculus)
+    b1 = _inhabit(st, ctx.add(y, Impl(annot, disj.left)), goal, depth - 1, calculus)
     if b1 is None:
         return None
-    b2 = _inhabit(st, {**ctx, y: Impl(annot, disj.right)}, goal, depth - 1, calculus)
+    b2 = _inhabit(st, ctx.add(y, Impl(annot, disj.right)), goal, depth - 1, calculus)
     if b2 is None:
         return None
     return Harrop(x, annot, main, y, b1, b2)
@@ -314,16 +369,16 @@ def _try_visser(st, ctx, goal, depth, calculus):
     bs = tuple(binders)
 
     y = st.fresh()
-    b1 = _inhabit(st, {**ctx, y: _curried(bs, disj.left)}, goal, depth - 1, calculus)
+    b1 = _inhabit(st, ctx.add(y, _curried(bs, disj.left)), goal, depth - 1, calculus)
     if b1 is None:
         return None
-    b2 = _inhabit(st, {**ctx, y: _curried(bs, disj.right)}, goal, depth - 1, calculus)
+    b2 = _inhabit(st, ctx.add(y, _curried(bs, disj.right)), goal, depth - 1, calculus)
     if b2 is None:
         return None
     z = st.fresh()
     us = []
     for _, ann_j in bs:
-        u = _inhabit(st, {**ctx, z: _curried(bs, ann_j.left)}, goal, depth - 1, calculus)
+        u = _inhabit(st, ctx.add(z, _curried(bs, ann_j.left)), goal, depth - 1, calculus)
         if u is None:
             return None
         us.append(u)
@@ -350,7 +405,10 @@ def generate_typed(calculus: str = "IPC", max_depth: int = 5, atom_count: int = 
             ctx = {f"g{i + 1}": _ctx_entry(rng, ctx_shape, atoms)
                    for i in range(rng.randint(0, 3))}
         st = _GenState(rng, 600, atoms)
-        t = _inhabit(st, ctx, g, max_depth, calculus)
+        cx = _Ctx()
+        for n, a in ctx.items():
+            cx = cx.add(n, a)
+        t = _inhabit(st, cx, g, max_depth, calculus)
         if t is None:
             continue
         if not checks(ctx, t, g, calculus):
@@ -361,10 +419,14 @@ def generate_typed(calculus: str = "IPC", max_depth: int = 5, atom_count: int = 
     )
 
 
-def _paths(t: Term, prefix=()):  # all positions, preorder
-    yield prefix
-    for i, c in enumerate(children(t)):
-        yield from _paths(c, prefix + (i,))
+def _paths(t: Term):
+    """Every (position, subterm) of t, preorder."""
+    stack = [((), t)]
+    while stack:
+        path, s = stack.pop()
+        yield path, s
+        kids = children(s)
+        stack.extend((path + (i,), kids[i]) for i in reversed(range(len(kids))))
 
 
 def shrink_typed(ctx: TypingContext, t: Term, a: Formula,
@@ -372,21 +434,22 @@ def shrink_typed(ctx: TypingContext, t: Term, a: Formula,
     """Smaller terms of the same type under the same context, size order."""
     out = []
     seen = {nameless(t)}
-    for path in _paths(t):
+    for path, s in _paths(t):
         if not path:
             continue
-        s = subterm_at(t, path)
         if free_vars(s) <= set(ctx) and checks(ctx, s, a, calculus):
             key = nameless(s)
             if key not in seen:
                 seen.add(key)
                 out.append(s)
     names = sorted(ctx)
-    for path in _paths(t):
+    for path, s in _paths(t):
+        if isinstance(s, Var):  # no smaller: every other node has size >= 2
+            continue
         for n in names:
             cand = replace_at(t, path, Var(n))
             key = nameless(cand)
-            if key in seen or term_size(cand) >= term_size(t):
+            if key in seen:
                 continue
             if checks(ctx, cand, a, calculus):
                 seen.add(key)

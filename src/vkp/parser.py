@@ -371,27 +371,39 @@ def parse_script(text: str) -> list[Declaration]:
 # ---------------------------------------------------------------- printing
 
 # Formula precedence contexts: 0 implication body, 1 disjunct, 2 conjunct,
-# 3 negation argument.
+# 3 negation argument.  An infix connective maps to its symbol, the
+# contexts of its two sides, and the highest context it is printed bare in.
+_INFIX = {Impl: (" -> ", 1, 0, 0), Disj: (" \\/ ", 1, 2, 1), Conj: (" /\\ ", 2, 3, 2)}
 
 
 def print_formula(a: Formula, prec: int = 0) -> str:
-    match a:
-        case Atom(n):
-            return n
-        case Falsum():
-            return "False"
-        case Impl(l, Falsum()):
-            return "~" + print_formula(l, 3)
-        case Impl(l, r):
-            out = f"{print_formula(l, 1)} -> {print_formula(r, 0)}"
-            return f"({out})" if prec > 0 else out
-        case Disj(l, r):
-            out = f"{print_formula(l, 1)} \\/ {print_formula(r, 2)}"
-            return f"({out})" if prec > 1 else out
-        case Conj(l, r):
-            out = f"{print_formula(l, 2)} /\\ {print_formula(r, 3)}"
-            return f"({out})" if prec > 2 else out
-    raise TypeError(f"not a formula: {a!r}")
+    # A stack of (formula, context) pairs still to print and of the literal
+    # pieces between them, so deep formulas need no recursion.
+    out: list[str] = []
+    todo: list = [(a, prec)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        f, p = item
+        cls = type(f)
+        if cls is Atom:
+            out.append(f.name)
+        elif cls is Falsum:
+            out.append("False")
+        elif cls is Impl and type(f.right) is Falsum:
+            out.append("~")
+            todo.append((f.left, 3))
+        elif (infix := _INFIX.get(cls)) is not None:
+            op, lp, rp, bare = infix
+            if p > bare:
+                out.append("(")
+                todo.append(")")
+            todo += ((f.right, rp), op, (f.left, lp))
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+    return "".join(out)
 
 
 # Term precedence contexts: 0 top, 1 application head, 2 argument.

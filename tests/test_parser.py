@@ -209,6 +209,55 @@ def test_roundtrip_formulas_generated():
         assert parse_formula(print_formula(a)) == a
 
 
+def _print_formula_recursive(a, prec=0):
+    """print_formula as it was written before it was made iterative."""
+    match a:
+        case Atom(n):
+            return n
+        case Impl(l, r) if r == FALSUM:
+            return "~" + _print_formula_recursive(l, 3)
+        case Impl(l, r):
+            out = f"{_print_formula_recursive(l, 1)} -> {_print_formula_recursive(r, 0)}"
+            return f"({out})" if prec > 0 else out
+        case Disj(l, r):
+            out = f"{_print_formula_recursive(l, 1)} \\/ {_print_formula_recursive(r, 2)}"
+            return f"({out})" if prec > 1 else out
+        case Conj(l, r):
+            out = f"{_print_formula_recursive(l, 2)} /\\ {_print_formula_recursive(r, 3)}"
+            return f"({out})" if prec > 2 else out
+    return "False"
+
+
+def test_print_formula_matches_recursive_printer():
+    import random
+    from vkp.gen import _formula, ATOM_NAMES
+    from vkp.syntax import neg
+    rng = random.Random(77)
+    for _ in range(2000):
+        a = _formula(rng, rng.randint(0, 5), ATOM_NAMES[:3])
+        if rng.random() < 0.3:
+            a = neg(Conj(a, neg(a)) if rng.random() < 0.5 else a)
+        for prec in range(4):
+            assert print_formula(a, prec) == _print_formula_recursive(a, prec)
+    with pytest.raises(TypeError):
+        print_formula(Var("x"))
+
+
+def test_print_formula_deep_implications(default_recursion_limit):
+    p, q = Atom("p"), Atom("q")
+    right, left, left_text = p, p, "p"
+    for i in range(1000):
+        right = Impl(q, right)
+        left = Impl(left, q)
+        left_text = f"({left_text}) -> q" if i else "p -> q"
+    assert print_formula(right) == "q -> " * 1000 + "p"
+    assert print_formula(left) == left_text
+    deep_neg = p
+    for _ in range(1000):
+        deep_neg = Impl(deep_neg, FALSUM)
+    assert print_formula(deep_neg) == "~" * 1000 + "p"
+
+
 def test_roundtrip_terms_generated():
     for seed in range(120):
         cal = ("IPC", "KP", "V")[seed % 3]
