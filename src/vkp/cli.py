@@ -48,25 +48,26 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _type_error(d, calculus: str) -> str | None:
+    """The report line for a declaration that does not check; None if it does."""
+    try:
+        check({}, d.body, d.formula, calculus)
+    except TypeCheckError as e:
+        return f"{d.name} : error at line {d.line}, column {d.col}: {e}"
+    return None
+
+
 def _check_file(path: str, calculus: str | None) -> tuple[list[str], bool]:
     """Report lines and a pass flag for one script file."""
-    lines = []
-    ok = True
     script = parse_script(_read(path))
     if not script:
-        lines.append(f"{path}: OK, 0 declarations")
-        return lines, ok
+        return [f"{path}: OK, 0 declarations"], True
+    lines = []
+    ok = True
     for d in script:
-        cal = calculus or d.calculus
-        try:
-            check({}, d.body, d.formula, cal)
-        except TypeCheckError as e:
-            lines.append(
-                f"{d.name} : error at line {d.line}, column {d.col}: {e}"
-            )
-            ok = False
-            continue
-        lines.append(f"{d.name} : OK ({print_formula(d.formula)})")
+        error = _type_error(d, calculus or d.calculus)
+        ok = ok and error is None
+        lines.append(error or f"{d.name} : OK ({print_formula(d.formula)})")
     return lines, ok
 
 
@@ -98,11 +99,9 @@ def _load_declaration(path: str, name: str):
             break
     else:
         raise UsageError(f"no declaration named {name!r} in {path}")
-    try:
-        check({}, d.body, d.formula, d.calculus)
-    except TypeCheckError as e:
-        print(f"{d.name} : error at line {d.line}, column {d.col}: {e}",
-              file=sys.stderr)
+    error = _type_error(d, d.calculus)
+    if error is not None:
+        print(error, file=sys.stderr)
         return None
     return d
 

@@ -13,7 +13,9 @@ contraction can only turn ancestors reached through child-0 links into
 redexes (a visser or hop fires on the head spine of its main premise,
 child 0), so after one the walk backs up over those frames only, with one
 plug over the popped frames, and carries on; nothing to its left is
-scanned again.
+scanned again.  The walk passes the caller's context to every contraction
+unchanged, except where Harrop-efq, the one contraction that reads binder
+types, can fire: there it works them out down to the hop from the frames.
 weak_head_normalize iterates the KP head step.  Every strategy counts
 steps against a budget and refuses to return a truncated term.
 
@@ -28,10 +30,7 @@ from .syntax import (
     _plug, _subterms,
 )
 from .typecheck import TypeCheckError, infer
-from .reduction import (
-    TraceStep, child_context, contains_hop, step_top_named,
-    step_weak_head_named,
-)
+from .reduction import TraceStep, step_top_named, step_weak_head_named, _context
 
 DEFAULT_BUDGET = 10**6
 
@@ -62,21 +61,18 @@ def normalize_full(
 ) -> Term:
     """Reduce to a term with no remaining contractions anywhere.
 
-    `frames` are the walk's (parent, child index) frames, outermost first,
-    and ctxs[j] is the context of frames[j]'s parent; a parent is current
-    in every child but the one the walk is in.  Only hop contractions read
-    the context, so binder types are passed down (`thread`) only in KP and
-    only while the term holds a hop; elsewhere a hop is refused.
+    `frames` are the walk's (parent, child index) frames, outermost first;
+    a parent is current in every child but the one the walk is in, which is
+    all a hop's context needs (_context).  Outside KP a hop is refused.
     """
     limit = DEFAULT_BUDGET if budget is None else budget
     used = 0
-    thread = calculus == "KP" and contains_hop(t)
     frames: list[tuple[Term, int]] = []
-    ctxs: list[TypingContext] = []
-    cur, cctx, whole = t, dict(ctx) if ctx else {}, t
+    cur, whole = t, t
     while True:
         # a variable is never a redex
-        r = None if isinstance(cur, Var) else step_top_named(cur, calculus, cctx)
+        r = None if isinstance(cur, Var) else step_top_named(
+            cur, calculus, _context(cur, frames, ctx, calculus))
         if r is not None:
             if used >= limit:
                 raise BudgetExceeded(_plug(frames, cur), used)
@@ -86,32 +82,28 @@ def normalize_full(
                 after = _plug(frames, cur)
                 trace.append(TraceStep(tuple(i for _, i in frames), rule, whole, after))
                 whole = after
-            if thread:  # a contraction adds no hop but may drop the last one
-                thread = contains_hop(whole if trace is not None else _plug(frames, cur))
             # only ancestors reached through child-0 links can have become redexes
             k = len(frames)
             while k and frames[k - 1][1] == 0:
                 k -= 1
             if k < len(frames):
-                cur, cctx = _plug(frames[k:], cur), ctxs[k]
-                del frames[k:], ctxs[k:]
+                cur = _plug(frames[k:], cur)
+                del frames[k:]
             continue
         # no redex here: enter the first child, or climb to the next sibling
-        parent, i, pctx = cur, -1, cctx
+        parent, i = cur, -1
         k = len(frames)
         while i + 1 == len(children(parent)):
             if not k:
                 return _plug(frames, cur)
             k -= 1
-            (parent, i), pctx = frames[k], ctxs[k]
+            parent, i = frames[k]
         if k < len(frames):
             parent = _plug(frames[k:], cur)
-            del frames[k:], ctxs[k:]
+            del frames[k:]
         i += 1
         frames.append((parent, i))
-        ctxs.append(pctx)
         cur = children(parent)[i]
-        cctx = child_context(parent, i, pctx, calculus) if thread else pctx
 
 
 def weak_head_normalize(
@@ -150,12 +142,11 @@ def eval_ipc(
     trace: list[TraceStep] | None = None,
 ) -> Term:
     """Leftmost-outermost normalization for plain IPC terms."""
-    root_ctx = dict(ctx) if ctx else {}
     if ctx is not None or not free_vars(t):
-        _require_typed(t, root_ctx, "IPC")
+        _require_typed(t, ctx or {}, "IPC")
     elif any(isinstance(s, (Visser, Harrop)) for s in _subterms(t)):
         raise PreconditionViolation("term is not in the IPC fragment")
-    return normalize_full(t, "IPC", root_ctx, budget, trace)
+    return normalize_full(t, "IPC", ctx, budget, trace)
 
 
 def normalize_kp(
@@ -165,16 +156,14 @@ def normalize_kp(
     trace: list[TraceStep] | None = None,
 ) -> Term:
     """Full normalization for KP terms: head steps first, then congruence."""
-    root_ctx = dict(ctx) if ctx else {}
-    _require_typed(t, root_ctx, "KP")
-    return normalize_full(t, "KP", root_ctx, budget, trace)
+    _require_typed(t, ctx or {}, "KP")
+    return normalize_full(t, "KP", ctx, budget, trace)
 
 
 def eval_v(t: Term, ctx: TypingContext | None = None, budget: int | None = None) -> Term:
     """Normalize a V term to an IPC normal form of the same type."""
-    root_ctx = dict(ctx) if ctx else {}
-    _require_typed(t, root_ctx, "V")
-    nf = normalize_full(t, "V", root_ctx, budget)
+    _require_typed(t, ctx or {}, "V")
+    nf = normalize_full(t, "V", ctx, budget)
     if any(isinstance(s, Visser) for s in _subterms(nf)):
         raise InternalError(
             "a visser node survives normalization; "

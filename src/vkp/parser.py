@@ -165,38 +165,18 @@ class _Parser:
 
     def term(self) -> Term:
         if self.eat("kw", "fun"):
-            self.expect("sym", "(")
-            x = self.expect_ident().value
-            self.expect("sym", ":")
-            a = self.formula()
-            self.expect("sym", ")")
+            x, a = self.annotated()
             self.expect("sym", "=>")
             return Abs(x, a, self.term())
         if self.eat("kw", "case"):
             sc = self.term()
-            self.expect("kw", "of")
-            self.expect("sym", "{")
-            y, b1 = self.branch()
-            self.expect("sym", "|")
-            y2, b2 = self.branch()
-            self.require_same_binder(y, y2)
-            self.expect("sym", "}")
+            y, b1, b2, _, _, _ = self.branches(finals=False)
             return Case(sc, y, b1, b2)
         if self.eat("kw", "hop"):
-            self.expect("sym", "(")
-            x = self.expect_ident().value
-            self.expect("sym", ":")
-            a = self.formula()
-            self.expect("sym", ")")
+            x, a = self.annotated()
             self.expect("sym", ".")
             main = self.term()
-            self.expect("kw", "of")
-            self.expect("sym", "{")
-            y, b1 = self.branch()
-            self.expect("sym", "|")
-            y2, b2 = self.branch()
-            self.require_same_binder(y, y2)
-            self.expect("sym", "}")
+            y, b1, b2, _, _, _ = self.branches(finals=False)
             try:
                 return Harrop(x, a, main, y, b1, b2)
             except ValueError as e:
@@ -209,23 +189,7 @@ class _Parser:
             self.expect("sym", ")")
             self.expect("sym", ".")
             main = self.term()
-            self.expect("kw", "of")
-            self.expect("sym", "{")
-            y, b1 = self.branch()
-            self.expect("sym", "|")
-            y2, b2 = self.branch()
-            self.require_same_binder(y, y2)
-            us = []
-            z = None
-            while self.eat("sym", "|"):
-                z2, u = self.branch()
-                if z is None:
-                    z = z2
-                else:
-                    self.require_same_binder(z, z2)
-                us.append(u)
-            close = self.tok
-            self.expect("sym", "}")
+            y, b1, b2, z, us, close = self.branches(finals=True)
             if len(us) != len(binders):
                 raise ParseError(
                     f"visser has {len(binders)} binders but {len(us)} final branches",
@@ -248,6 +212,36 @@ class _Parser:
                 tok.line, tok.col,
             )
         return (x, a)
+
+    def annotated(self) -> tuple[str, Formula]:
+        """`( x : A )`, the binder of fun and hop."""
+        self.expect("sym", "(")
+        x = self.expect_ident().value
+        self.expect("sym", ":")
+        a = self.formula()
+        self.expect("sym", ")")
+        return x, a
+
+    def branches(self, finals: bool):
+        """`of { y => s1 | y => s2 }`, with `| z => u` branches after s2 when
+        finals: (y, s1, s2, z, [u, ...], the token of the closing brace)."""
+        self.expect("kw", "of")
+        self.expect("sym", "{")
+        y, b1 = self.branch()
+        self.expect("sym", "|")
+        y2, b2 = self.branch()
+        self.require_same_binder(y, y2)
+        z, us = None, []
+        while finals and self.eat("sym", "|"):
+            z2, u = self.branch()
+            if z is None:
+                z = z2
+            else:
+                self.require_same_binder(z, z2)
+            us.append(u)
+        close = self.tok
+        self.expect("sym", "}")
+        return y, b1, b2, z, us, close
 
     def branch(self) -> tuple[str, Term]:
         x = self.expect_ident()

@@ -12,9 +12,10 @@ plug, syntax._plug, puts a term back through them; the KP head step walks
 its spine (hop main premises included) into such frames and plugs the reduct.
 
 Rebuilt exfalso nodes in the efq contractions are annotated with the first
-disjunct of the main premise's type, so contracting needs the types of any
-variables the premise mentions; step functions take the ambient context for
-that and thread it under binders.
+disjunct of the main premise's type.  A visser premise sees only its own
+binders, so Harrop-efq is the one contraction that reads the ambient typing
+context.  The step functions take the caller's root context and work out the
+binder types down to a node (_context, over its frames) only at such a hop.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from .syntax import (
     Abs, App, Case, Exfalso, Harrop, Impl, Inj, Pair, Proj, Term,
     TypingContext, Var, Visser, children, replace_at, subterm_at, substitute,
-    _plug, _subterms,
+    _frames, _plug,
 )
 from .typecheck import CalculusViolation, TypeCheckError, _curried, infer
 
@@ -139,15 +140,10 @@ def step_top(t: Term, calculus: str = "IPC", ctx: TypingContext | None = None) -
 # ------------------------------------------------- contexts under subterms
 
 
-def contains_hop(t: Term) -> bool:
-    return any(isinstance(s, Harrop) for s in _subterms(t))
-
-
 def child_context(t: Term, i: int, ctx: TypingContext, calculus: str) -> TypingContext:
-    """Typing context for child i of t.
+    """Typing context for child i of t, given the context ctx of t.
 
-    Branch binder types come from the premise, so this infers where needed;
-    callers working on untyped terms should not descend into branches.
+    Branch binder types come from the premise, so this infers where needed.
     """
     match t:
         case Abs(x, a, _):
@@ -173,11 +169,23 @@ def child_context(t: Term, i: int, ctx: TypingContext, calculus: str) -> TypingC
     return ctx
 
 
-def context_along(t: Term, path: tuple[int, ...], ctx: TypingContext, calculus: str) -> TypingContext:
-    """Typing context at the subterm addressed by path."""
-    for i in path:
-        ctx = child_context(t, i, ctx, calculus)
-        t = children(t)[i]
+def _context(node: Term, frames, ctx: TypingContext | None, calculus: str):
+    """The context step_top_named needs at node, which sits below the
+    (parent, child index) frames, outermost first, of a term whose context
+    is ctx.  Only Harrop-efq reads it, so this is ctx itself anywhere but at
+    a KP hop whose main premise has an exfalso head; a hop that does not
+    fire, or fires on an injection, builds nothing (the KP head step passes
+    every hop of its spine).
+
+    A frame's parent need only be current off the frame's path: child_context
+    reads only its binders and, below a branch, its premise.
+    """
+    if (calculus != "KP" or not isinstance(node, Harrop)
+            or not isinstance(decompose(node.main), ExfalsoHead)):
+        return ctx
+    ctx = ctx or {}
+    for parent, i in frames:
+        ctx = child_context(parent, i, ctx, calculus)
     return ctx
 
 
@@ -186,20 +194,16 @@ def context_along(t: Term, path: tuple[int, ...], ctx: TypingContext, calculus: 
 
 def _redexes(t: Term, calculus: str, ctx: TypingContext | None):
     """(path, reduct of the subterm there) for every firing position, in
-    preorder, lazily, from an explicit stack.  A child's context is made
-    when the walk reaches it, as a recursive walk would."""
-    thread = contains_hop(t)  # only hop contractions consult the outer context
-    todo = [(t, (), dict(ctx) if ctx else {}, None, 0)]
+    preorder, lazily, from an explicit stack of (subterm, path) pairs."""
+    todo = [(t, ())]
     while todo:
-        sub, path, local, parent, i = todo.pop()
-        if parent is not None and thread:
-            local = child_context(parent, i, local, calculus)
-        r = step_top_named(sub, calculus, local)
+        sub, path = todo.pop()
+        r = step_top_named(sub, calculus, _context(sub, _frames(t, path), ctx, calculus))
         if r is not None:
             yield path, r[0]
         cs = children(sub)
         for j in range(len(cs) - 1, -1, -1):
-            todo.append((cs[j], path + (j,), local, sub, j))
+            todo.append((cs[j], path + (j,)))
 
 
 def step_anywhere(t: Term, calculus: str = "IPC", ctx: TypingContext | None = None):
@@ -221,16 +225,13 @@ def step_weak_head_named(t: Term, ctx: TypingContext | None = None):
     The search walks the unique head spine (application functions, scrutinees,
     hop main premises) and contracts the outermost firing position.
     """
-    cctx = dict(ctx) if ctx else {}
     frames = []
     cur = t
     while True:
-        r = step_top_named(cur, "KP", cctx)
+        r = step_top_named(cur, "KP", _context(cur, frames, ctx, "KP"))
         if r is not None:
             return _plug(frames, r[0]), (0,) * len(frames), r[1]
-        if isinstance(cur, Harrop):
-            cctx = {**cctx, cur.binder: cur.annot}
-        elif not isinstance(cur, (App, Proj, Case)):
+        if not isinstance(cur, (App, Proj, Case, Harrop)):
             return None
         frames.append((cur, 0))
         cur = children(cur)[0]
@@ -259,12 +260,10 @@ def weak_head_redexes(t: Term, ctx: TypingContext | None = None):
     Returns (path, whole reduct, rule) triples; determinism of the head step
     says there is at most one, and tests hold this against step_weak_head.
     """
-    root_ctx = dict(ctx) if ctx else {}
     out = []
     for path in head_spine_paths(t):
         focus = subterm_at(t, path)
-        local = context_along(t, path, root_ctx, "KP")
-        r = step_top_named(focus, "KP", local)
+        r = step_top_named(focus, "KP", _context(focus, _frames(t, path), ctx, "KP"))
         if r is not None:
             out.append((path, replace_at(t, path, r[0]), r[1]))
     return out
@@ -285,13 +284,12 @@ def replay_step(step: TraceStep, calculus: str, ctx: TypingContext | None = None
     """Apply the recorded rule at the recorded path; must land on `after`."""
     from .syntax import alpha_eq
 
-    root_ctx = dict(ctx) if ctx else {}
     try:
+        frames = list(_frames(step.before, step.path))
         focus = subterm_at(step.before, step.path)
-        local = context_along(step.before, step.path, root_ctx, calculus)
-        r = step_top_named(focus, calculus, local)
+        r = step_top_named(focus, calculus, _context(focus, frames, ctx, calculus))
     except (IndexError, TypeCheckError):  # path off the term, or wrong calculus
         return False
     if r is None or r[1] != step.rule:
         return False
-    return alpha_eq(replace_at(step.before, step.path, r[0]), step.after)
+    return alpha_eq(_plug(frames, r[0]), step.after)

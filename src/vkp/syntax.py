@@ -305,12 +305,19 @@ def subterm_at(t: Term, path: tuple[int, ...]) -> Term:
     return t
 
 
-def replace_at(t: Term, path: tuple[int, ...], new: Term) -> Term:
-    frames = []
+def _frames(t: Term, path: tuple[int, ...]):
+    """The (node, child index) frames path runs through from t, outermost
+    first, lazily; IndexError for an index that names no child."""
     for i in path:
-        frames.append((t, i))
-        t = children(t)[i]
-    return _plug(frames, new)
+        cs = children(t)
+        if not 0 <= i < len(cs):
+            raise IndexError(f"no child {i}")
+        yield t, i
+        t = cs[i]
+
+
+def replace_at(t: Term, path: tuple[int, ...], new: Term) -> Term:
+    return _plug(list(_frames(t, path)), new)
 
 
 # ------------------------------------------------------------ free variables

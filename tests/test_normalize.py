@@ -13,13 +13,14 @@ from vkp.normalize import (
 )
 from vkp.parser import parse_formula, parse_term
 from vkp.reduction import (
-    is_normal, replay_step, step_anywhere, step_weak_head, weak_head_redexes,
+    TraceStep, is_normal, replay_step, step_anywhere, step_top_named,
+    step_weak_head, step_weak_head_named, weak_head_redexes,
 )
 from vkp.syntax import (
     Abs, App, Atom, Case, Conj, Disj, Exfalso, FALSUM, Harrop, Impl, Inj,
     Pair, Proj, Var, Visser, alpha_eq, neg,
 )
-from vkp.typecheck import CalculusViolation, infer
+from vkp.typecheck import CalculusViolation, UnknownVariable, infer
 
 A = Atom("A")
 B = Atom("B")
@@ -329,6 +330,71 @@ def test_no_binder_types_after_last_hop():
     assert [s.rule for s in trace] == ["Harrop-inj", "Beta"]
     assert nf == Case(Var("g"), "z", Var("z"), Var("z"))
     assert nf == normalize_full(t, "KP", {"g": Disj(A, A), "y": A})
+
+
+def test_open_kp_term_needs_context_only_for_hop_efq():
+    # only Harrop-efq reads binder types, so nothing asks for the type of g
+    # (or of y), whether the injection hop sits beside the case or in it
+    hop = Harrop("x", neg(B), Inj(1, A, Var("y")), "w", Var("w"), Var("y"))
+    t = Pair(Case(Var("g"), "z", Var("z"), Var("z")), hop)
+    ctx = {"g": Disj(A, A), "y": A}
+    nf = Pair(Case(Var("g"), "z", Var("z"), Var("z")), Abs("x", neg(B), Var("y")))
+    assert normalize_full(t, "KP") == nf == normalize_full(t, "KP", ctx)
+    assert step_anywhere(t, "KP") == [((1,), nf)] == step_anywhere(t, "KP", ctx)
+    assert not is_normal(t, "KP")
+    assert is_normal(nf, "KP")
+    inside = Case(Var("g"), "z", hop, Var("z"))
+    assert normalize_full(inside, "KP") == Case(Var("g"), "z", nf.snd, Var("z"))
+
+
+def _split_hop(x, main, left, right):
+    """hop (x : ~B). main of { w => inj1 w | w => inj2 w }: from a main
+    premise of left \\/ right, a proof of (~B -> left) \\/ (~B -> right)."""
+    nl, nr = Impl(neg(B), left), Impl(neg(B), right)
+    return Harrop(x, neg(B), main, "w", Inj(1, nr, Var("w")), Inj(2, nl, Var("w")))
+
+
+def test_hop_efq_reads_binders_of_enclosing_abs_and_case():
+    # the exfalso payload u z needs u from the abstraction and z from the
+    # case branch; the reduct is the one step_top_named gives with both
+    hop = _split_hop("x", Exfalso(Disj(A, C), App(Var("u"), Var("z"))), A, C)
+    other = Inj(1, Impl(neg(B), C), Abs("x", neg(B), Var("z")))
+    t = Abs("u", neg(A), Case(Var("d"), "z", hop, other))
+    ctx = {"d": Disj(A, A)}
+    infer(ctx, t, "KP")
+    with pytest.raises(UnknownVariable):
+        step_top_named(hop, "KP", ctx)
+    reduct, rule = step_top_named(hop, "KP", {**ctx, "u": neg(A), "z": A})
+    assert rule == "Harrop-efq"
+    whole = Abs("u", neg(A), Case(Var("d"), "z", reduct, other))
+    step = TraceStep((0, 1), "Harrop-efq", t, whole)
+    trace = []
+    assert normalize_full(t, "KP", ctx, trace=trace) == whole
+    assert trace == [step]
+    assert step_anywhere(t, "KP", ctx) == [((0, 1), whole)]
+    assert not is_normal(t, "KP", ctx)
+    assert replay_step(step, "KP", ctx)
+
+
+def test_hop_efq_inside_a_hop_main_premise():
+    # the inner hop's payload x1 b needs the outer hop's binder x1; the
+    # outer hop cannot fire on a hop, so the head step is the inner one
+    inner = _split_hop("x2", Exfalso(Disj(A, C), App(Var("x1"), Var("b"))), A, C)
+    left, right = Impl(neg(B), A), Impl(neg(B), C)
+    outer = _split_hop("x1", inner, left, right)
+    ctx = {"b": B}
+    infer(ctx, outer, "KP")
+    reduct, rule = step_top_named(inner, "KP", {**ctx, "x1": neg(B)})
+    assert rule == "Harrop-efq"
+    whole = _split_hop("x1", reduct, left, right)
+    step = TraceStep((0,), "Harrop-efq", outer, whole)
+    trace = []
+    normalize_full(outer, "KP", ctx, trace=trace)
+    assert trace[0] == step
+    assert step_anywhere(outer, "KP", ctx) == [((0,), whole)]
+    assert step_weak_head_named(outer, ctx) == (whole, (0,), "Harrop-efq")
+    assert weak_head_redexes(outer, ctx) == [((0,), whole, "Harrop-efq")]
+    assert replay_step(step, "KP", ctx)
 
 
 def test_hop_outside_kp_is_refused():

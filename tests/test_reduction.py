@@ -352,3 +352,13 @@ def test_replay_step_rejects_bad_path_and_calculus():
     step = TraceStep((), "Harrop-inj", hop, Abs("x", neg(B), Var("a")))
     assert replay_step(step, "KP", {"a": A})
     assert not replay_step(step, "IPC", {"a": A})
+
+
+def test_replay_step_rejects_negative_path_index():
+    # f ((fun (x : p) => x) y): the redex is child 1, and -1 names no child
+    p = Atom("p")
+    t = App(Var("f"), App(Abs("x", p, Var("x")), Var("y")))
+    after = App(Var("f"), Var("y"))
+    assert replay_step(TraceStep((1,), "Beta", t, after), "IPC")
+    assert not replay_step(TraceStep((-1,), "Beta", t, after), "IPC")
+    assert not replay_step(TraceStep((-2, 0), "Beta", t, after), "IPC")
