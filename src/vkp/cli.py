@@ -27,7 +27,7 @@ from .oracle import Provable, ipc_provable
 
 
 class UsageError(Exception):
-    """A bad name or setting on the command line; exit 2."""
+    """A bad name, setting or file on the command line; exit 2."""
 
 
 def _budget() -> int:
@@ -44,8 +44,11 @@ def _budget() -> int:
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise UsageError(f"cannot read {path}: {e}")
 
 
 def _type_error(d, calculus: str) -> str | None:
@@ -77,9 +80,6 @@ def _cmd_check(args) -> int:
     for path in args.files:
         try:
             results.append(_check_file(path, args.calculus))
-        except OSError as e:
-            print(f"vkp: cannot read {path}: {e}", file=sys.stderr)
-            return 2
         except ParseError as e:
             print(f"{path}: {e}", file=sys.stderr)
             code = 1

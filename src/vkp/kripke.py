@@ -59,6 +59,8 @@ def is_valid_model(model: KripkeModel) -> bool:
     worlds x pairs set operations.
     """
     n = model.size
+    if n < 1:  # no world 0, so no root
+        return False
     up: dict[int, set[int]] = {w: set() for w in range(n)}
     for u, v in model.order:
         if not (0 <= u < n and 0 <= v < n):

@@ -1,10 +1,10 @@
 """Abstract syntax: formulas, proof terms, contexts.
 
 Terms carry named binders and a formula annotation at every binding site,
-so checking is syntax-directed.  Alpha-equivalence compares the binding
-depths that the nameless index form counts; substitution is
-capture-avoiding and renames colliding binders deterministically
-(smallest unused numeric suffix).
+so checking is syntax-directed.  Alpha-equivalence and the nameless
+index form read one stream, a preorder that names each bound variable by
+its distance to its binder.  Substitution is capture-avoiding and renames
+colliding binders deterministically (smallest unused numeric suffix).
 
 The free variables of a term are computed once per node and kept in a
 hidden `_fv` slot, which is not a dataclass field, so equality, hashing
@@ -16,6 +16,8 @@ lookup that a subterm it leaves alone does not mention the variable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import eq
 
 
 # ---------------------------------------------------------------- formulas
@@ -173,10 +175,6 @@ class Visser(Term):
         for n, a in self.binders:
             if not isinstance(a, Impl):
                 raise ValueError(f"visser binder {n} must be annotated with an implication")
-
-    @property
-    def n(self) -> int:
-        return len(self.binders)
 
 
 @dataclass(frozen=True, slots=True)
@@ -444,97 +442,67 @@ def substitute(t: Term, x: str, s: Term) -> Term:
 # ---------------------------------------------------------- alpha-equivalence
 
 
-def nameless(t: Term) -> tuple:
-    """Canonical index form: bound names become de Bruijn style distances.
+def _index_form(t: Term):
+    """The nameless index form of t as a stream, one tuple per node.
 
     A preorder over an explicit stack gives each node its scope (name ->
-    binding depth, and the depth) and a list for its children's forms;
-    the forms are then built children first, in reverse preorder.
+    binding depth, and the depth).  A node yields its tag and annotations;
+    a variable yields ("b", distance to its binder) or ("f", name).  A tag
+    fixes how many fields and children follow, so no term's stream is a
+    proper prefix of another's.
     """
-    if isinstance(t, Var):
-        return ("f", t.name)
-    root = [None]
-    todo = [(t, {}, 0, root, 0)]
-    built = []
+    todo = [(t, {}, 0)]
     while todo:
-        u, env, depth, out, j = todo.pop()
+        u, env, depth = todo.pop()
+        match u:
+            case Var(n):
+                yield ("b", depth - env[n] - 1) if n in env else ("f", n)
+                continue
+            case App():
+                yield ("app",)
+            case Abs(_, a, _):
+                yield ("abs", a)
+            case Exfalso(f, _):
+                yield ("efq", f)
+            case Pair():
+                yield ("pair",)
+            case Proj(i, _):
+                yield ("proj", i)
+            case Inj(i, o, _):
+                yield ("inj", i, o)
+            case Case():
+                yield ("case",)
+            case Visser(bs):
+                yield ("visser", tuple(a for _, a in bs))
+            case Harrop(_, a):
+                yield ("hop", a)
         cs = children(u)
-        forms = [None] * len(cs)
-        built.append((u, forms, out, j))
         binding = isinstance(u, _BINDING)
-        for i, c in enumerate(cs):
+        for i in reversed(range(len(cs))):
             e, d = env, depth
             if binding and (bound := binders_of_child(u, i)):
                 e = dict(env)
                 for b in bound:
                     e[b] = d
                     d += 1
-            if isinstance(c, Var):
-                n = c.name
-                forms[i] = ("b", d - e[n] - 1) if n in e else ("f", n)
-            else:
-                todo.append((c, e, d, forms, i))
-    for u, forms, out, j in reversed(built):
-        out[j] = _nameless_node(u, forms)
-    return root[0]
+            todo.append((cs[i], e, d))
 
 
-def _nameless_node(t: Term, cs: list) -> tuple:
-    """The index form of t, given those of its children in child order."""
-    match t:
-        case App():
-            return ("app", cs[0], cs[1])
-        case Abs(_, a, _):
-            return ("abs", a, cs[0])
-        case Exfalso(f, _):
-            return ("efq", f, cs[0])
-        case Pair():
-            return ("pair", cs[0], cs[1])
-        case Proj(i, _):
-            return ("proj", i, cs[0])
-        case Inj(i, o, _):
-            return ("inj", i, o, cs[0])
-        case Case():
-            return ("case", cs[0], cs[1], cs[2])
-        case Visser(bs):
-            return ("visser", tuple(a for _, a in bs), cs[0], cs[1], cs[2], tuple(cs[3:]))
-        case Harrop(_, a):
-            return ("hop", a, cs[0], cs[1], cs[2])
-    raise TypeError(f"not a term: {t!r}")
+def nameless(t: Term) -> tuple:
+    """Canonical index form: `_index_form`'s stream in one flat tuple, so
+    comparing and hashing it do not recurse.  A tag heads each node's
+    tuple and fixes its length, so the flat form still tells them apart."""
+    return tuple(chain.from_iterable(_index_form(t)))
 
 
 def alpha_eq(t: Term, s: Term) -> bool:
     """Term equality up to bound-variable names; annotations must agree.
 
-    The two terms are walked side by side over one explicit stack, each
-    with its scope (name -> binding depth) and the depth, as `nameless`
-    numbers them; two nodes match when their index forms would agree on
-    everything but their children.
+    The two index-form streams are compared node by node up to the first
+    difference; since neither can be a proper prefix of the other, equal
+    pairs all the way mean equal streams.
     """
-    todo = [(t, s, {}, {}, 0)]
-    while todo:
-        u, v, eu, ev, depth = todo.pop()
-        if isinstance(u, Var) or isinstance(v, Var):
-            if not (isinstance(u, Var) and isinstance(v, Var)):
-                return False
-            du, dv = eu.get(u.name), ev.get(v.name)
-            if du != dv or (du is None and u.name != v.name):
-                return False
-            continue
-        cu, cv = children(u), children(v)
-        blank = [None] * len(cu)
-        if len(cu) != len(cv) or _nameless_node(u, blank) != _nameless_node(v, blank):
-            return False
-        binding = isinstance(u, _BINDING)
-        for i in range(len(cu)):
-            e, f, d = eu, ev, depth
-            if binding and (bound := binders_of_child(u, i)):
-                e, f = dict(eu), dict(ev)
-                for x, y in zip(bound, binders_of_child(v, i)):
-                    e[x] = f[y] = d
-                    d += 1
-            todo.append((cu[i], cv[i], e, f, d))
-    return True
+    return all(map(eq, _index_form(t), _index_form(s)))
 
 
 def term_size(t: Term) -> int:

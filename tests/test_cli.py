@@ -1,6 +1,10 @@
 """Exit codes and output formats of the vkp command."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from vkp.cli import main
 from vkp.kripke import KripkeModel, forces, is_valid_model
@@ -53,6 +57,21 @@ def test_check_type_error_position(tmp_path, capsys):
 def test_check_missing_file(capsys):
     assert main(["check", "no/such/file.vkp"]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_non_utf8_file_is_an_unreadable_file(tmp_path):
+    # run as `python -m vkp`, so the entry point is covered too
+    f = tmp_path / "bad.vkp"
+    f.write_bytes(b"\xff\xfe")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    for argv in (["check", str(f)], ["normalize", str(f), "d"], ["extract", str(f), "d"]):
+        r = subprocess.run([sys.executable, "-m", "vkp", *argv],
+                           capture_output=True, text=True, env=env)
+        assert r.returncode == 2, (argv, r.stderr)
+        assert "Traceback" not in r.stderr
+        assert r.stderr.startswith(f"vkp: cannot read {f}: "), r.stderr
 
 
 def test_check_parse_error(tmp_path, capsys):

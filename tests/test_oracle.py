@@ -353,6 +353,13 @@ def test_model_check_rejects_unrooted_order():
     assert not is_valid_model(m)
 
 
+def test_model_check_rejects_a_model_without_worlds():
+    # no world 0, so no root: ~p would hold at it vacuously
+    m = KripkeModel(0, frozenset(), {})
+    assert forces(m, 0, parse_formula("~p"))
+    assert not is_valid_model(m)
+
+
 def test_model_check_rejects_valuation_not_up_closed():
     m = _model(3, {(1, 2)}, {"A": frozenset({1})})
     assert not is_valid_model(m)

@@ -308,6 +308,55 @@ def test_alpha_eq_matches_the_index_forms():
     assert 0 < equal < 200 * 8
 
 
+def nameless_reference(t, env=()):
+    """Textbook nested index form, by recursion: env lists the bound names,
+    innermost last, and a bound variable becomes its distance from the end."""
+    def rec(u, bound=()):
+        return nameless_reference(u, env + bound)
+
+    match t:
+        case Var(n):
+            return ("b", env[::-1].index(n)) if n in env else ("f", n)
+        case App(f, a):
+            return ("app", rec(f), rec(a))
+        case Abs(x, a, b):
+            return ("abs", a, rec(b, (x,)))
+        case Exfalso(f, a):
+            return ("efq", f, rec(a))
+        case Pair(a, b):
+            return ("pair", rec(a), rec(b))
+        case Proj(i, a):
+            return ("proj", i, rec(a))
+        case Inj(i, o, a):
+            return ("inj", i, o, rec(a))
+        case Case(sc, y, b1, b2):
+            return ("case", rec(sc), rec(b1, (y,)), rec(b2, (y,)))
+        case Visser(bs, m, y, b1, b2, z, us):
+            return ("visser", tuple(a for _, a in bs),
+                    rec(m, tuple(n for n, _ in bs)), rec(b1, (y,)), rec(b2, (y,)),
+                    tuple(rec(u, (z,)) for u in us))
+        case Harrop(x, a, m, y, b1, b2):
+            return ("hop", a, rec(m, (x,)), rec(b1, (y,)), rec(b2, (y,)))
+    raise AssertionError(t)
+
+
+def test_alpha_eq_and_nameless_match_the_reference():
+    rng = random.Random(11)
+    fresh = fresh_stream()
+    terms = [rand_term(rng, 4, ("x", "y")) for _ in range(200)]
+    equal = 0
+    for t in terms:
+        renamed = subst_oracle(t, "unused", Var("unused"), fresh)
+        assert nameless_reference(renamed) == nameless_reference(t)
+        for u in rng.sample(terms, 8):
+            want = nameless_reference(t) == nameless_reference(u)
+            for v in (t, renamed):
+                assert alpha_eq(v, u) == want == alpha_eq(u, v), (v, u)
+                assert (nameless(v) == nameless(u)) == want, (v, u)
+            equal += want
+    assert 0 < equal < 200 * 8
+
+
 def test_nameless_distinguishes_bound_levels():
     t1 = Abs("x", A, Abs("y", A, Var("x")))
     t2 = Abs("x", A, Abs("y", A, Var("y")))
@@ -343,11 +392,16 @@ def test_free_vars_depth_and_nameless_deep(default_recursion_limit):
     t = _f_chain(3000, Abs("x", A, App(Var("x"), Var("y"))))
     assert free_vars(t) == {"f", "y"}
     assert term_depth(t) == 3000 + 3
-    n = nameless(t)
-    for _ in range(3000):  # walk it, since tuple == recurses too
-        assert n[:2] == ("app", ("f", "f"))
-        n = n[2]
-    assert n == ("abs", A, ("app", ("b", 0), ("f", "y")))
+    assert nameless(t) == ("app", "f", "f") * 3000 + ("abs", A, "app", "b", 0, "f", "y")
+
+
+def test_nameless_deep_forms_compare_and_hash(default_recursion_limit):
+    t = _f_chain(3000, Abs("x", A, Var("x")))
+    twin = _f_chain(3000, Abs("z", A, Var("z")))
+    n, m = nameless(t), nameless(twin)
+    assert n == m and hash(n) == hash(m) and {n} == {m}
+    assert alpha_eq(t, twin)
+    assert not alpha_eq(t, _f_chain(3000, Abs("z", A, Var("f"))))
 
 
 def test_alpha_eq_deep(default_recursion_limit):
