@@ -6,6 +6,14 @@ redexes, projections of pairs, case on an injection) so reduction tests get
 something to chew on.  Under KP and V the admissible constructs are attempted
 with a fixed bias so roughly a third of the output exercises them.
 
+An attempt whose goal is classically false under its context is skipped
+before any search: IPC, V and KP are all classically sound, so no calculus
+here inhabits such a goal.  A truth table over the atoms of the goal and
+the context decides it when they have at most eight distinct atoms; past
+that every attempt searches.  The skip is part of the seeded stream: an
+attempt that is skipped draws nothing more from the generator's random
+source.
+
 Everything is driven by one random.Random(seed); equal seeds give equal
 output.  Choices over context entries go through sorted lists, never raw
 dict or set iteration.
@@ -385,6 +393,67 @@ def _try_visser(st, ctx, goal, depth, calculus):
     return Visser(bs, main, y, b1, b2, z, tuple(us))
 
 
+# A truth table over at most _TABLE_ATOMS atoms.  Row r gives the i-th atom
+# met the value of bit i of r, and a formula's column is the int whose bit
+# r is the formula's value in row r.
+_TABLE_ATOMS = 8
+_ROWS = 1 << _TABLE_ATOMS
+_TRUE = (1 << _ROWS) - 1
+_ATOM_COLUMNS = tuple(sum(1 << r for r in range(_ROWS) if r >> i & 1)
+                      for i in range(_TABLE_ATOMS))
+_CONNECTIVE = {
+    Impl: lambda l, r: (_TRUE ^ l) | r,
+    Conj: int.__and__,
+    Disj: int.__or__,
+}
+
+
+def _column(a: Formula, columns: dict[str, int]) -> int | None:
+    """a's truth-table column, or None once a needs a column past the table.
+
+    An atom not yet in `columns` takes the next free atom column.  A
+    post-order over an explicit stack, where a connective's combining
+    function waits under its two sides.
+    """
+    vals: list[int] = []
+    todo: list = [a]
+    while todo:
+        f = todo.pop()
+        cls = type(f)
+        if cls is Atom:
+            c = columns.get(f.name)
+            if c is None:
+                if len(columns) == _TABLE_ATOMS:
+                    return None
+                c = columns[f.name] = _ATOM_COLUMNS[len(columns)]
+            vals.append(c)
+        elif cls is Falsum:
+            vals.append(0)
+        elif (combine := _CONNECTIVE.get(cls)) is not None:
+            todo += (combine, f.right, f.left)
+        else:  # a connective whose sides are on vals, left below right
+            r = vals.pop()
+            vals.append(f(vals.pop(), r))
+    return vals[0]
+
+
+def _classically_false(ctx: TypingContext, goal: Formula) -> bool:
+    """Whether some valuation makes every formula of ctx true and goal false.
+
+    False, too, when the formulas have more than _TABLE_ATOMS distinct atoms
+    between them, since the table is then not built.
+    """
+    columns: dict[str, int] = {}
+    hyps = _TRUE
+    for a in ctx.values():
+        c = _column(a, columns)
+        if c is None:
+            return False
+        hyps &= c
+    g = _column(goal, columns)
+    return g is not None and hyps & ~g != 0
+
+
 def generate_typed(calculus: str = "IPC", max_depth: int = 5, atom_count: int = 3,
                    seed: int = 0, *, ctx_shape: str = "any",
                    goal: Formula | None = None, closed: bool = False,
@@ -404,6 +473,8 @@ def generate_typed(calculus: str = "IPC", max_depth: int = 5, atom_count: int = 
         else:
             ctx = {f"g{i + 1}": _ctx_entry(rng, ctx_shape, atoms)
                    for i in range(rng.randint(0, 3))}
+        if _classically_false(ctx, g):
+            continue  # uninhabitable: IPC, V and KP are classically sound
         st = _GenState(rng, 600, atoms)
         cx = _Ctx()
         for n, a in ctx.items():

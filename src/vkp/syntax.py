@@ -445,18 +445,31 @@ def substitute(t: Term, x: str, s: Term) -> Term:
 def _index_form(t: Term):
     """The nameless index form of t as a stream, one tuple per node.
 
-    A preorder over an explicit stack gives each node its scope (name ->
-    binding depth, and the depth).  A node yields its tag and annotations;
+    A preorder over an explicit stack.  The scope maps each bound name to
+    a stack of the depths it is bound at, innermost last: a child's
+    binders are pushed when the walk enters the child and popped at an
+    exit marker stacked under it.  A node yields its tag and annotations;
     a variable yields ("b", distance to its binder) or ("f", name).  A tag
     fixes how many fields and children follow, so no term's stream is a
     proper prefix of another's.
     """
-    todo = [(t, {}, 0)]
+    scope: dict[str, list[int]] = {}
+    depth = 0
+    todo: list = [(t, ())]  # (subterm, binders it enters), or (None, binders it leaves)
     while todo:
-        u, env, depth = todo.pop()
+        u, bound = todo.pop()
+        if u is None:
+            for b in bound:
+                scope[b].pop()
+            depth -= len(bound)
+            continue
+        for b in bound:
+            scope.setdefault(b, []).append(depth)
+            depth += 1
         match u:
             case Var(n):
-                yield ("b", depth - env[n] - 1) if n in env else ("f", n)
+                ds = scope.get(n)
+                yield ("b", depth - ds[-1] - 1) if ds else ("f", n)
                 continue
             case App():
                 yield ("app",)
@@ -479,13 +492,10 @@ def _index_form(t: Term):
         cs = children(u)
         binding = isinstance(u, _BINDING)
         for i in reversed(range(len(cs))):
-            e, d = env, depth
-            if binding and (bound := binders_of_child(u, i)):
-                e = dict(env)
-                for b in bound:
-                    e[b] = d
-                    d += 1
-            todo.append((cs[i], e, d))
+            bound = binders_of_child(u, i) if binding else ()
+            if bound:
+                todo.append((None, bound))
+            todo.append((cs[i], bound))
 
 
 def nameless(t: Term) -> tuple:

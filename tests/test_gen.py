@@ -1,19 +1,28 @@
-"""The generator's seeded output, its context index, and the shrinker."""
+"""The generator's seeded output, its context index, its classical check,
+and the shrinker."""
 
 import hashlib
+import itertools
 import random
+from functools import reduce
 
+import pytest
+
+import vkp.gen
 from vkp.gen import (
-    _NO_MOVES, ATOM_NAMES, CTX_SHAPES, _Ctx, _ctx_entry, _formula,
-    generate_typed, shrink_typed,
+    _NO_MOVES, ATOM_NAMES, CTX_SHAPES, _classically_false, _Ctx, _ctx_entry,
+    _formula, GenerationFailed, generate_typed, shrink_typed,
 )
-from vkp.syntax import FALSUM, Conj, Disj, Falsum, Impl
+from vkp.kripke import KripkeModel, atoms_of, forces
+from vkp.oracle import Provable, ipc_provable
+from vkp.syntax import FALSUM, Atom, Conj, Disj, Falsum, Impl
+from vkp.typecheck import check
 
 # sha256 of repr(generate_typed(...)) + "\n" over the 180 triples below.  A
 # change that moves it changes every seeded test and benchmark corpus.
-GOLDEN = "2cbff1f05c3dfea9faa5200a2adf087ace4edad811a43eae4e1173815da54330"
+GOLDEN = "143c3cd96172516e7eda59967dd1cce4d7be0999d518f2c31fdc266d02ba3a79"
 # sha256 of repr(shrink_typed(...)) + "\n" over the 24 terms below
-SHRUNK = "2f491d047652adc08739efcc97cc144e6b47c2378a91725c0b9fa29f0e16fc97"
+SHRUNK = "968145755033cdbfb6f9838e0e90047d897a42847dc6f32422bbdfefe57b8382"
 
 
 def test_generate_typed_golden_digest():
@@ -36,7 +45,7 @@ def test_shrink_typed_golden_digest():
             out = shrink_typed(ctx, t, a, calc)
             n += len(out)
             h.update((repr(out) + "\n").encode())
-    assert n == 91
+    assert n == 139
     assert h.hexdigest() == SHRUNK
 
 
@@ -103,3 +112,84 @@ def test_ctx_add_leaves_parent_unchanged():
     child = parent.add("v10", a)
     assert _indexed(parent, FALSUM) == before
     assert [n for n, _ in child.negs] == ["v10", "v2"]
+
+
+def _sample(rng):
+    """A goal and a context over the generator's atoms and one atom past them."""
+    atoms = ATOM_NAMES[:rng.randint(1, 4)] + ("A",)
+    goal = _formula(rng, rng.randint(0, 3), atoms)
+    shape = rng.choice(CTX_SHAPES)
+    ctx = {f"g{i}": _ctx_entry(rng, shape, atoms) for i in range(rng.randint(0, 3))}
+    return ctx, goal
+
+
+def _one_world_models(atoms):
+    """A one-world model per valuation of atoms: forcing there is classical truth."""
+    for k in range(len(atoms) + 1):
+        for true in itertools.combinations(atoms, k):
+            yield KripkeModel(1, frozenset({(0, 0)}), {p: frozenset({0}) for p in true})
+
+
+def test_classical_check_matches_one_world_forcing():
+    rng = random.Random(11)
+    skipped = 0
+    for _ in range(400):
+        ctx, goal = _sample(rng)
+        atoms = sorted(set().union(atoms_of(goal), *map(atoms_of, ctx.values())))
+        refuted = any(all(forces(w, 0, a) for a in ctx.values()) and not forces(w, 0, goal)
+                      for w in _one_world_models(atoms))
+        assert _classically_false(ctx, goal) == refuted, (ctx, goal)
+        skipped += refuted
+    assert 100 < skipped < 300
+
+
+def test_classical_check_never_skips_an_ipc_theorem():
+    rng = random.Random(12)
+    theorems = 0
+    for _ in range(300):
+        ctx, goal = _sample(rng)
+        sequent = reduce(lambda b, a: Impl(a, b), reversed(list(ctx.values())), goal)
+        if isinstance(ipc_provable(sequent), Provable):
+            theorems += 1
+            assert not _classically_false(ctx, goal), (ctx, goal)
+    assert theorems > 50
+
+
+def test_goal_atoms_outside_atom_names():
+    goal = Disj(Impl(Atom("A"), Atom("A")), Atom("B"))
+    for seed in range(5):
+        ctx, t, a = generate_typed("KP", max_depth=5, atom_count=1, seed=seed, goal=goal)
+        assert a == goal
+        check(ctx, t, goal, "KP")
+
+
+def _counting_inhabit(monkeypatch):
+    calls = [0]
+    inhabit = vkp.gen._inhabit
+
+    def counted(*args):
+        calls[0] += 1
+        return inhabit(*args)
+
+    monkeypatch.setattr(vkp.gen, "_inhabit", counted)
+    return calls
+
+
+def test_classically_false_goal_is_never_searched(monkeypatch):
+    calls = _counting_inhabit(monkeypatch)
+    with pytest.raises(GenerationFailed):
+        generate_typed("KP", max_depth=6, seed=0, goal=Atom("p"), closed=True)
+    assert calls[0] == 0
+
+
+def test_goal_past_the_table_is_searched(monkeypatch):
+    wide = [Atom(f"x{i}") for i in range(9)]  # one atom past the table
+    conj = reduce(Conj, wide)
+    assert not _classically_false({}, conj)  # classically false, but not checked
+    calls = _counting_inhabit(monkeypatch)
+    with pytest.raises(GenerationFailed):
+        generate_typed("IPC", max_depth=4, seed=0, goal=conj, closed=True)
+    assert calls[0] > 0
+    goal = Disj(Impl(wide[0], wide[0]), conj)
+    ctx, t, a = generate_typed("IPC", max_depth=4, seed=0, goal=goal, closed=True)
+    check(ctx, t, goal, "IPC")

@@ -1,12 +1,15 @@
 """Evaluators, the KP normalizer, budgets, traces, and extraction."""
 
+import random
 from collections import Counter
 
 import pytest
 
 import vkp.normalize
 
-from vkp.gen import GenerationFailed, generate_typed
+from vkp.gen import (
+    ATOM_NAMES, GenerationFailed, _Ctx, _GenState, _inhabit, generate_typed,
+)
 from vkp.normalize import (
     BudgetExceeded, PreconditionViolation, eval_ipc, eval_v, extract_disjunct,
     normalize_full, normalize_kp, weak_head_normalize,
@@ -240,6 +243,15 @@ def test_consistency_no_closed_falsum_proof():
     with pytest.raises(GenerationFailed):
         generate_typed("KP", max_depth=6, atom_count=3, seed=0,
                        goal=FALSUM, closed=True)
+
+
+def test_search_finds_no_closed_falsum_proof():
+    # generate_typed skips a classically false goal before searching, so
+    # the test above passes without a search; this one runs the search
+    for calc in ("IPC", "V", "KP"):
+        for seed in range(40):
+            st = _GenState(random.Random(seed), 600, ATOM_NAMES[:3])
+            assert _inhabit(st, _Ctx(), FALSUM, 6, calc) is None, (calc, seed)
 
 
 def test_full_steps_are_leftmost_outermost():

@@ -412,6 +412,28 @@ def test_alpha_eq_deep(default_recursion_limit):
     assert not alpha_eq(t, _f_chain(2999, Abs("z", A, App(Var("z"), Var("y")))))
 
 
+def _binder_chain(n, name):
+    """fun (name0 : A) => ... fun (name{n-1} : A) => name0 name{n-1}."""
+    t = App(Var(f"{name}0"), Var(f"{name}{n - 1}"))
+    for i in reversed(range(n)):
+        t = Abs(f"{name}{i}", A, t)
+    return t
+
+
+def test_binder_chain_deep(default_recursion_limit):
+    n = 32_000
+    t, renamed = _binder_chain(n, "x"), _binder_chain(n, "y")
+    form = nameless(t)
+    assert form == ("abs", A) * n + ("app", "b", n - 1, "b", 0)
+    assert nameless(renamed) == form
+    assert alpha_eq(t, renamed)
+    assert not alpha_eq(t, _binder_chain(n - 1, "y"))
+    shadowed = Var("z")
+    for _ in range(n):
+        shadowed = Abs("z", A, shadowed)
+    assert nameless(shadowed) == ("abs", A) * n + ("b", 0)
+
+
 def test_replace_at_deep(default_recursion_limit):
     t = _f_chain(3000, Var("y"))
     r = replace_at(t, (1,) * 3000, Var("z"))
