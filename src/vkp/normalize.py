@@ -16,8 +16,11 @@ plug over the popped frames, and carries on; nothing to its left is
 scanned again.  The walk passes the caller's context to every contraction
 unchanged, except where Harrop-efq, the one contraction that reads binder
 types, can fire: there it works them out down to the hop from the frames.
-weak_head_normalize iterates the KP head step.  Every strategy counts
-steps against a budget and refuses to return a truncated term.
+A traced walk records each contraction as its rule, a copy of the frames
+and the reduct; the TraceStep plugs its whole terms only when they are
+read, so tracing adds no plug to the walk.  weak_head_normalize iterates
+the KP head step.  Every strategy counts steps against a budget and
+refuses to return a truncated term.
 
 eval_v is that walk in V followed by a check that no visser node is left:
 a V normal form is a plain intuitionistic term proving the same formula.
@@ -68,7 +71,7 @@ def normalize_full(
     limit = DEFAULT_BUDGET if budget is None else budget
     used = 0
     frames: list[tuple[Term, int]] = []
-    cur, whole = t, t
+    cur = t
     while True:
         # a variable is never a redex
         r = None if isinstance(cur, Var) else step_top_named(
@@ -79,9 +82,9 @@ def normalize_full(
             used += 1
             cur, rule = r
             if trace is not None:
-                after = _plug(frames, cur)
-                trace.append(TraceStep(tuple(i for _, i in frames), rule, whole, after))
-                whole = after
+                # the first step starts from t, whatever the list held before
+                trace.append(TraceStep._recorded(
+                    rule, tuple(frames), cur, t if used == 1 else trace[-1]))
             # only ancestors reached through child-0 links can have become redexes
             k = len(frames)
             while k and frames[k - 1][1] == 0:

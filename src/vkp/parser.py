@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .syntax import (
     Abs, App, Atom, Case, Conj, Disj, Exfalso, Falsum, Formula, Harrop, Impl,
@@ -54,8 +55,7 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'kw', 'ident', 'sym', 'eof'
     value: str
     line: int
@@ -63,26 +63,27 @@ class Token:
 
 
 def tokenize(text: str) -> list[Token]:
+    """Tokens with 1-based line and column.  Only a whitespace run can hold a
+    newline: a comment stops before one, and symbols and identifiers never
+    contain one."""
     out = []
-    line, col, pos = 1, 1, 0
+    line, line_start, pos = 1, 0, 0  # line_start: offset of the line's first character
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
-            raise ParseError(f"stray character {text[pos]!r}", line, col)
-        lexeme = m.group(0)
-        if m.lastgroup == "sym":
-            out.append(Token("sym", lexeme, line, col))
-        elif m.lastgroup == "ident":
-            kind = "kw" if lexeme in KEYWORDS else "ident"
-            out.append(Token(kind, lexeme, line, col))
-        nl = lexeme.count("\n")
-        if nl:
-            line += nl
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    out.append(Token("eof", "", line, col))
+            raise ParseError(f"stray character {text[pos]!r}", line, pos - line_start + 1)
+        kind, end = m.lastgroup, m.end()
+        if kind == "ws":
+            nl = text.count("\n", pos, end)
+            if nl:
+                line += nl
+                line_start = text.rindex("\n", pos, end) + 1
+        elif kind != "comment":
+            lexeme = m.group()
+            kind = "kw" if lexeme in KEYWORDS else kind  # a symbol is never a keyword
+            out.append(Token(kind, lexeme, line, pos - line_start + 1))
+        pos = end
+    out.append(Token("eof", "", line, pos - line_start + 1))
     return out
 
 

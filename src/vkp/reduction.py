@@ -272,12 +272,71 @@ def weak_head_redexes(t: Term, ctx: TypingContext | None = None):
 # ------------------------------------------------------------------- traces
 
 
-@dataclass(frozen=True)
 class TraceStep:
-    path: tuple[int, ...]
-    rule: str
-    before: Term
-    after: Term
+    """One contraction of a reduction sequence: `rule` fired at `path`, the
+    child indices from the root, and turned the whole term `before` into
+    `after`.
+
+    TraceStep(path, rule, before, after) holds the four values.  The
+    normalization walk records a step with `_recorded` instead, in constant
+    work beyond a copy of its frames: the rule, the (parent, child index)
+    frames down to the redex, the reduct, and the step before it (or the
+    input term).  `path`, `after` and `before` are worked out on first read
+    and kept: `after` is the reduct plugged through the frames, `before` the
+    step before's `after`.  Both kinds compare, hash and print by the four
+    values, as a frozen dataclass of them does.
+    """
+
+    __slots__ = ("_path", "_rule", "_before", "_after", "_frames", "_reduct")
+    __match_args__ = ("path", "rule", "before", "after")
+
+    def __init__(self, path: tuple[int, ...], rule: str, before: Term, after: Term):
+        self._path, self._rule, self._before, self._after = path, rule, before, after
+        self._frames = self._reduct = None
+
+    @classmethod
+    def _recorded(cls, rule: str, frames: tuple, reduct: Term, previous) -> TraceStep:
+        """A step whose values are built when read; `previous` is the step
+        before it, or the term the sequence starts from."""
+        step = cls(None, rule, previous, None)
+        step._frames, step._reduct = frames, reduct
+        return step
+
+    @property
+    def path(self) -> tuple[int, ...]:
+        if self._path is None:
+            self._path = tuple(i for _, i in self._frames)
+        return self._path
+
+    @property
+    def rule(self) -> str:
+        return self._rule
+
+    @property
+    def before(self) -> Term:
+        if isinstance(self._before, TraceStep):
+            self._before = self._before.after
+        return self._before
+
+    @property
+    def after(self) -> Term:
+        if self._after is None:
+            self._after = _plug(self._frames, self._reduct)
+        return self._after
+
+    def _values(self):
+        return self.path, self.rule, self.before, self.after
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "TraceStep(path={!r}, rule={!r}, before={!r}, after={!r})".format(*self._values())
 
 
 def replay_step(step: TraceStep, calculus: str, ctx: TypingContext | None = None) -> bool:

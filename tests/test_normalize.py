@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 import vkp.normalize
+import vkp.syntax
 
 from vkp.gen import (
     ATOM_NAMES, GenerationFailed, _Ctx, _GenState, _inhabit, generate_typed,
@@ -21,7 +22,8 @@ from vkp.reduction import (
 )
 from vkp.syntax import (
     Abs, App, Atom, Case, Conj, Disj, Exfalso, FALSUM, Harrop, Impl, Inj,
-    Pair, Proj, Var, Visser, alpha_eq, neg,
+    Pair, Proj, Var, Visser, alpha_eq, children, neg, replace_at, subterm_at,
+    with_children,
 )
 from vkp.typecheck import CalculusViolation, UnknownVariable, infer
 
@@ -469,3 +471,134 @@ def test_eval_v_budget_counts_visser_steps():
         eval_v(t, budget=1)
     assert e.value.steps == 1
     assert infer({}, e.value.last, "V") == infer({}, t, "V")
+
+
+# ------------------------------------------------------------ lazy traces
+
+
+def _equal(s, t) -> bool:
+    """s == t without recursion (dataclass == recurses): each node pair is
+    compared one level deep, with the children swapped for t's own."""
+    todo = [(s, t)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        cs, ds = children(a), children(b)
+        if type(a) is not type(b) or len(cs) != len(ds) or with_children(a, ds) != b:
+            return False
+        todo.extend(zip(cs, ds))
+    return True
+
+
+def _values(step):
+    return step.path, step.rule, step.before, step.after
+
+
+def _linked(trace, t) -> bool:
+    """Each step starts from the very term the step before it ended at."""
+    starts = [t] + [s.after for s in trace[:-1]]
+    return all(s.before is start for s, start in zip(trace, starts))
+
+
+def _same_steps(xs, ys) -> bool:
+    return len(xs) == len(ys) and all(
+        x.path == y.path and x.rule == y.rule and _equal(x.after, y.after)
+        for x, y in zip(xs, ys))
+
+
+def _kept(trace, read) -> bool:
+    return all(a is b for s, r in zip(trace, read) for a, b in zip(_values(s), r))
+
+
+CHAIN_REDEXES = {
+    "beta": ("IPC", lambda e: App(Abs("x", A, Var("x")), e)),
+    "proj": ("IPC", lambda e: Proj(1, Pair(e, Var("y")))),
+    "case": ("IPC", lambda e: Case(Inj(1, A, e), "z", Var("z"), Var("y"))),
+    "hop": ("KP", lambda e: Harrop("x", neg(B), Inj(1, A, Var("y")), "w", e, Var("y"))),
+}
+
+
+def _lazy_trace_cases():
+    for calc in ("IPC", "KP"):
+        for seed in range(150):
+            ctx, t, _ = generate_typed(calc, max_depth=5, atom_count=3, seed=seed)
+            yield calc, ctx, t
+    for calc, redex in CHAIN_REDEXES.values():
+        yield calc, CHAIN_CTX, _chain(200, redex)
+
+
+def test_lazy_trace_equals_eager_reading():
+    steps = 0
+    for calc, ctx, t in _lazy_trace_cases():
+        in_order = []
+        nf = normalize_full(t, calc, ctx, trace=in_order)
+        read = [_values(s) for s in in_order]  # every value, step by step
+        assert _linked(in_order, t) and _equal(in_order[-1].after if read else t, nf)
+        assert all(replay_step(s, calc, ctx) for s in in_order)
+        # reading the steps backwards, or only their after, builds the same terms
+        backwards, afters_only = [], []
+        normalize_full(t, calc, ctx, trace=backwards)
+        normalize_full(t, calc, ctx, trace=afters_only)
+        for s in reversed(backwards):
+            _values(s)
+        for s in afters_only:
+            s.after
+        assert _linked(backwards, t) and _same_steps(backwards, in_order)
+        assert _linked(afters_only, t) and _same_steps(afters_only, in_order)
+        assert _kept(in_order, read)
+        # a second run into the same list leaves the earlier steps as they
+        # were, and its first step starts from its own input term
+        normalize_full(t, calc, ctx, trace=in_order)
+        assert _kept(in_order, read)
+        assert _linked(in_order[len(read):], t) and _same_steps(in_order[len(read):], backwards)
+        steps += len(read)
+    assert steps > 1000
+
+
+def test_traced_walk_rebuilds_no_more_than_untraced(default_recursion_limit, monkeypatch):
+    # linear by count, not by time: a traced run that reads only path and
+    # rule plugs nothing more than an untraced one
+    rebuilds = 0
+    rebuild = vkp.syntax.with_children
+
+    def counting(*args):
+        nonlocal rebuilds
+        rebuilds += 1
+        return rebuild(*args)
+
+    monkeypatch.setattr(vkp.syntax, "with_children", counting)
+    n = 1600
+    for family, rule in (("beta", "Beta"), ("hop", "Harrop-inj")):
+        calc, redex = CHAIN_REDEXES[family]
+        t = _chain(n, redex)
+        rebuilds = 0
+        assert _is_f_iterated(normalize_full(t, calc, CHAIN_CTX), n)
+        untraced, rebuilds = rebuilds, 0
+        trace = []
+        assert _is_f_iterated(normalize_full(t, calc, CHAIN_CTX, trace=trace), n)
+        assert [s.path for s in trace] == [(1,) * (k + 1) for k in range(n)]
+        assert {s.rule for s in trace} == {rule}
+        assert rebuilds == untraced
+        # every after costs a plug as deep as the chain; test_lazy_trace_equals_eager_reading
+        # reads them all on shorter chains
+        for s in trace[::97] + trace[-1:]:
+            focus = subterm_at(s.before, s.path)
+            eager = replace_at(s.before, s.path, step_top_named(focus, calc, CHAIN_CTX)[0])
+            assert _equal(s.after, eager)
+
+
+def test_recorded_step_is_a_trace_step():
+    t = parse_term("(fun (x : A) => x) ((fun (y : A) => y) z)")
+    trace = []
+    normalize_full(t, "IPC", {"z": A}, trace=trace)
+    for s in trace:
+        direct = TraceStep(s.path, s.rule, s.before, s.after)
+        assert s == direct and direct == s
+        assert hash(s) == hash(direct) and repr(s) == repr(direct)
+        assert s == TraceStep(path=s.path, rule=s.rule, before=s.before, after=s.after)
+        match s:
+            case TraceStep(path, rule, before, after):
+                assert (path, rule, before, after) == _values(direct)
+    assert repr(trace[0]).startswith("TraceStep(path=(), rule='Beta', before=App(")
+    assert trace[0] != TraceStep((), "Beta", t, t) and trace[0] != _values(trace[0])

@@ -1,5 +1,7 @@
 """Grammar, precedence, positioned errors, scripts, and round-trips."""
 
+import random
+
 import pytest
 
 import vkp.parser
@@ -140,6 +142,35 @@ fun (x : A) -- trailing note
   => x
 """
     assert parse_term(src) == Abs("x", Atom("A"), Var("x"))
+
+
+def test_token_positions_follow_offsets():
+    # the text is built piece by piece, so each token's offset is known
+    # without the tokenizer; line and column are worked out from it
+    rng = random.Random(5)
+    words = ["fun", "x", "A_1", "(", ")", ":", "=>", "->", "/\\", "\\/", ":=",
+             "~", "{", "|", "}", ",", ".", "[", "]", "def", "hop", "y2"]
+    gaps = [" ", "\t", "\n", "\r\n", "\n\n\t", " -- note => x\r\n",
+            "-- c (\n", "\t\r\n  ", "  -- --\n\n"]
+    text, want = "", []
+    for _ in range(600):
+        text += rng.choice(gaps)
+        w = rng.choice(words)
+        want.append((w, len(text)))
+        text += w
+    text += "\n -- the end"
+
+    def at(offset, text=text):
+        return text[:offset].count("\n") + 1, offset - text.rfind("\n", 0, offset)
+
+    toks = vkp.parser.tokenize(text)
+    assert [(t.value, t.line, t.col) for t in toks[:-1]] == [(w, *at(o)) for w, o in want]
+    assert (toks[-1].kind, toks[-1].line, toks[-1].col) == ("eof", *at(len(text)))
+    for stray in ("@", "\\", "-"):
+        bad = text + "\r\n\t" + stray + " x"
+        with pytest.raises(ParseError) as e:
+            vkp.parser.tokenize(bad)
+        assert (e.value.line, e.value.col) == at(len(text) + 3, bad)
 
 
 def test_script_basics():
