@@ -6,21 +6,21 @@ leftmost-outermost walk that contracts the first redex in preorder (the
 head spine first, then the children left to right, under binders
 included).  The walk keeps an explicit stack of (parent, child index)
 frames instead of recursing, so the depth of a redex is not limited by the
-interpreter's recursion limit; substitution and inference still recurse
-over the subterms they touch.  These are the frames head contexts are made
-of too, and the one plug, syntax._plug, rebuilds the term from them.  A
-contraction can only turn ancestors reached through child-0 links into
-redexes (a visser or hop fires on the head spine of its main premise,
-child 0), so after one the walk backs up over those frames only, with one
-plug over the popped frames, and carries on; nothing to its left is
-scanned again.  The walk passes the caller's context to every contraction
-unchanged, except where Harrop-efq, the one contraction that reads binder
-types, can fire: there it works them out down to the hop from the frames.
-A traced walk records each contraction as its rule, a copy of the frames
-and the reduct; the TraceStep plugs its whole terms only when they are
-read, so tracing adds no plug to the walk.  weak_head_normalize iterates
-the KP head step.  Every strategy counts steps against a budget and
-refuses to return a truncated term.
+interpreter's recursion limit; substitution still recurses over the
+subterms it touches (inference does not).  These are the frames head
+contexts are made of too, and the one plug, syntax._plug, rebuilds the
+term from them.  A contraction can only turn ancestors reached through
+child-0 links into redexes (a visser or hop fires on the head spine of its
+main premise, child 0), so after one the walk backs up over those frames
+only, with one plug over the popped frames, and carries on; nothing to its
+left is scanned again.  The walk passes the caller's context to every
+contraction unchanged, except where Harrop-efq, the one contraction that
+reads binder types, can fire: there it works them out down to the hop from
+the frames.  A traced walk records each contraction as its rule, a copy of
+the frames and the reduct; the TraceStep plugs its whole terms only when
+they are read, so tracing adds no plug to the walk.  weak_head_normalize
+iterates the KP head step.  Every strategy counts steps against a budget
+and refuses to return a truncated term.
 
 eval_v is that walk in V followed by a check that no visser node is left:
 a V normal form is a plain intuitionistic term proving the same formula.

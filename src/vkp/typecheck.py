@@ -4,6 +4,14 @@ IPC is the base; V adds the visser construct, KP adds hop.  A visser main
 premise must be closed apart from the visser binders themselves, and that
 side condition is checked against the main premise's actual free variables,
 so weakening the outer context can never relax it.
+
+`infer` is one post-order walk over an explicit stack, so no depth hits the
+recursion limit.  Each waiting node checks what it can before the walk goes
+down its next child, so the first error is the one a recursive checker
+meets first.  A compound node's type is kept by identity for the call; a
+node met again reuses it if it has no free variables (asked only then),
+since a closed term's type does not depend on the context.  Scripts inline
+definitions as shared nodes, so `check` is linear in a script's size.
 """
 
 from __future__ import annotations
@@ -86,81 +94,119 @@ def _curried(binders, target: Formula) -> Formula:
     return out
 
 
+def _branch_context(node: Term, ctx: TypingContext, d: Formula) -> TypingContext:
+    """The context of a case, hop or visser branch, its premise proving d."""
+    if isinstance(node, Case):
+        return {**ctx, node.binder: d}
+    hyps = node.binders if isinstance(node, Visser) else ((node.binder, node.annot),)
+    return {**ctx, node.case_binder: _curried(hyps, d)}
+
+
 def infer(ctx: TypingContext, t: Term, calculus: str = "IPC") -> Formula:
     """Unique type of t under ctx, or a TypeCheckError."""
     if calculus not in CALCULI:
         raise ValueError(f"unknown calculus {calculus!r}")
-    match t:
-        case Var(n):
-            if n not in ctx:
-                raise UnknownVariable(n)
-            return ctx[n]
-        case Abs(x, a, b):
-            return Impl(a, infer({**ctx, x: a}, b, calculus))
-        case App(f, a):
-            tf = infer(ctx, f, calculus)
-            if not isinstance(tf, Impl):
-                raise NotAnImplication(tf)
-            ta = infer(ctx, a, calculus)
-            if ta != tf.left:
-                raise TypeMismatch(tf.left, ta)
-            return tf.right
-        case Exfalso(target, a):
-            ta = infer(ctx, a, calculus)
-            if not isinstance(ta, Falsum):
-                raise TypeMismatch(Falsum(), ta)
-            return target
-        case Pair(a, b):
-            return Conj(infer(ctx, a, calculus), infer(ctx, b, calculus))
-        case Proj(i, a):
-            ta = infer(ctx, a, calculus)
-            if not isinstance(ta, Conj):
-                raise NotAConjunction(ta)
-            return ta.left if i == 1 else ta.right
-        case Inj(i, other, a):
-            ta = infer(ctx, a, calculus)
-            return Disj(ta, other) if i == 1 else Disj(other, ta)
-        case Case(sc, y, b1, b2):
-            ts = infer(ctx, sc, calculus)
-            if not isinstance(ts, Disj):
-                raise NotADisjunction(ts)
-            d1 = infer({**ctx, y: ts.left}, b1, calculus)
-            d2 = infer({**ctx, y: ts.right}, b2, calculus)
-            if d1 != d2:
-                raise BranchTypeMismatch(d1, d2)
-            return d1
-        case Visser(bs, m, y, b1, b2, z, us):
-            if calculus != "V":
-                raise CalculusViolation("visser", calculus)
-            names = {n for n, _ in bs}
-            extra = free_vars(m) - names
-            if extra:
-                raise VisserOpenAssumption(extra)
-            # the main premise sees exactly the visser binders, nothing else
-            tm = infer(dict(bs), m, calculus)
-            if not isinstance(tm, Disj):
-                raise NotADisjunction(tm)
-            d1 = infer({**ctx, y: _curried(bs, tm.left)}, b1, calculus)
-            d2 = infer({**ctx, y: _curried(bs, tm.right)}, b2, calculus)
-            if d1 != d2:
-                raise BranchTypeMismatch(d1, d2)
-            for (_, annot), u in zip(bs, us):
-                du = infer({**ctx, z: _curried(bs, annot.left)}, u, calculus)
-                if du != d1:
-                    raise BranchTypeMismatch(d1, du)
-            return d1
-        case Harrop(x, annot, m, y, b1, b2):
-            if calculus != "KP":
-                raise CalculusViolation("hop", calculus)
-            tm = infer({**ctx, x: annot}, m, calculus)
-            if not isinstance(tm, Disj):
-                raise NotADisjunction(tm)
-            d1 = infer({**ctx, y: Impl(annot, tm.left)}, b1, calculus)
-            d2 = infer({**ctx, y: Impl(annot, tm.right)}, b2, calculus)
-            if d1 != d2:
-                raise BranchTypeMismatch(d1, d2)
-            return d1
-    raise TypeError(f"not a term: {t!r}")
+    memo: dict[int, Formula] = {}  # id of a compound node -> its type in this call
+    todo = []  # (node, its context, stage, a type the stage needs), innermost last
+    node, cx = t, ctx
+    while True:
+        # down: enter node, then its first child, until a type is known
+        while True:
+            if isinstance(node, Var):
+                if node.name not in cx:
+                    raise UnknownVariable(node.name)
+                ty = cx[node.name]
+                break
+            ty = memo.get(id(node))
+            if ty is not None and not free_vars(node):
+                break  # met again and closed: its type holds in any context
+            if isinstance(node, App):
+                todo.append((node, cx, 2, None))
+                node = node.fun
+            elif isinstance(node, Abs):
+                todo.append((node, cx, 1, None))
+                node, cx = node.body, {**cx, node.binder: node.annot}
+            elif isinstance(node, Pair):
+                todo.append((node, cx, 4, None))
+                node = node.fst
+            elif isinstance(node, (Proj, Inj, Exfalso)):
+                todo.append((node, cx, 6, None))
+                node = node.arg
+            elif isinstance(node, Case):
+                todo.append((node, cx, 7, None))
+                node = node.scrutinee
+            elif isinstance(node, Harrop):
+                if calculus != "KP":
+                    raise CalculusViolation("hop", calculus)
+                todo.append((node, cx, 7, None))
+                node, cx = node.main, {**cx, node.binder: node.annot}
+            elif isinstance(node, Visser):
+                if calculus != "V":
+                    raise CalculusViolation("visser", calculus)
+                extra = free_vars(node.main) - {n for n, _ in node.binders}
+                if extra:
+                    raise VisserOpenAssumption(extra)
+                todo.append((node, cx, 7, None))
+                # the main premise sees exactly the visser binders, nothing else
+                node, cx = node.main, dict(node.binders)
+            else:
+                raise TypeError(f"not a term: {node!r}")
+        # up: finish the nodes waiting on ty, until one needs another child
+        while todo:
+            node, cx, stage, kept = todo.pop()
+            if stage == 1:
+                ty = Impl(node.annot, ty)
+            elif stage == 2:  # the function's type, checked before the argument is typed
+                if not isinstance(ty, Impl):
+                    raise NotAnImplication(ty)
+                todo.append((node, cx, 3, ty))
+                node = node.arg
+                break
+            elif stage == 3:
+                if ty != kept.left:
+                    raise TypeMismatch(kept.left, ty)
+                ty = kept.right
+            elif stage == 4:
+                todo.append((node, cx, 5, ty))
+                node = node.snd
+                break
+            elif stage == 5:
+                ty = Conj(kept, ty)
+            elif stage == 6:
+                if isinstance(node, Inj):
+                    ty = Disj(ty, node.other) if node.index == 1 else Disj(node.other, ty)
+                elif isinstance(node, Exfalso):
+                    if not isinstance(ty, Falsum):
+                        raise TypeMismatch(Falsum(), ty)
+                    ty = node.target
+                elif not isinstance(ty, Conj):
+                    raise NotAConjunction(ty)
+                else:
+                    ty = ty.left if node.index == 1 else ty.right
+            elif stage == 7:  # the premise of a case, hop or visser
+                if not isinstance(ty, Disj):
+                    raise NotADisjunction(ty)
+                todo.append((node, cx, 8, ty))
+                node, cx = node.branch1, _branch_context(node, cx, ty.left)
+                break
+            elif stage == 8:  # branch1's; kept is the premise's
+                todo.append((node, cx, 9, ty))
+                node, cx = node.branch2, _branch_context(node, cx, kept.right)
+                break
+            else:  # branch2's, then each visser app branch's in turn; kept is branch1's
+                if ty != kept:
+                    raise BranchTypeMismatch(kept, ty)
+                j = stage - 9  # the app branch to type next
+                if isinstance(node, Visser) and j < len(node.binders):
+                    bs = node.binders
+                    todo.append((node, cx, stage + 1, kept))
+                    cx = {**cx, node.app_binder: _curried(bs, bs[j][1].left)}
+                    node = node.app_branches[j]
+                    break
+                ty = kept
+            memo[id(node)] = ty
+        else:
+            return ty
 
 
 def check(ctx: TypingContext, t: Term, expected: Formula, calculus: str = "IPC") -> None:

@@ -4,16 +4,20 @@ import random
 
 import pytest
 
-from vkp.gen import generate_typed
-from vkp.parser import parse_formula, parse_term
+from typecheck_reference import infer as reference_infer
+from vkp.cli import main
+from vkp.gen import CTX_SHAPES, GenerationFailed, generate_typed
+from vkp.parser import parse_formula, parse_term, print_formula, print_term
+from vkp.reduction import step_anywhere
 from vkp.syntax import (
-    Abs, App, Atom, Case, Conj, Disj, Exfalso, FALSUM, Harrop, Impl, Inj,
-    Pair, Proj, Var, Visser, free_vars, neg, substitute,
+    Abs, App, Atom, CALCULI, Case, Conj, Disj, Exfalso, FALSUM, Harrop, Impl,
+    Inj, Pair, Proj, Var, Visser, children, free_vars, neg, replace_at,
+    subterm_at, substitute,
 )
 from vkp.typecheck import (
     BranchTypeMismatch, CalculusViolation, NotAConjunction, NotADisjunction,
-    NotAnImplication, TypeMismatch, UnknownVariable, VisserOpenAssumption,
-    check, checks, infer,
+    NotAnImplication, TypeCheckError, TypeMismatch, UnknownVariable,
+    VisserOpenAssumption, check, checks, infer,
 )
 
 A = Atom("A")
@@ -212,3 +216,145 @@ def test_abs_annotation_drives_type():
     t1 = Abs("x", A, Var("x"))
     t2 = Abs("x", B, Var("x"))
     assert infer({}, t1) != infer({}, t2)
+
+
+# ------------------------------------------- the walk against the old checker
+
+
+def _outcome(infer_fn, ctx, t, calculus):
+    """The type, or the exception class and message."""
+    try:
+        return infer_fn(ctx, t, calculus)
+    except TypeCheckError as e:
+        return type(e), str(e)
+
+
+def _positions(t):
+    """Every path into t, preorder."""
+    stack = [((), t)]
+    while stack:
+        path, s = stack.pop()
+        yield path
+        cs = children(s)
+        stack += [(path + (i,), c) for i, c in reversed(list(enumerate(cs)))]
+
+
+def _differential_cases():
+    """Generated terms, their one-step reducts, and seeded mutations of
+    both: a subterm swapped for a subterm of the same or the previous term
+    (so one node object can sit under different binders), the term applied
+    to such a subterm, a context entry dropped, and the wrong calculus."""
+    rng = random.Random(1313)
+    previous = Var("g1")
+    for calc in CALCULI:
+        for shape in CTX_SHAPES:
+            for seed in range(120):
+                try:
+                    ctx, t, _ = generate_typed(calc, max_depth=5, atom_count=3,
+                                               seed=seed, ctx_shape=shape)
+                except GenerationFailed:
+                    continue
+                for u in [t] + [r for _, r in step_anywhere(t, calc, ctx)]:
+                    yield ctx, u, calc
+                    paths = list(_positions(u))
+                    donor = rng.choice((u, previous))
+                    graft = subterm_at(donor, rng.choice(list(_positions(donor))))
+                    yield ctx, replace_at(u, rng.choice(paths), graft), calc
+                    yield ctx, App(u, graft), calc
+                    if ctx:
+                        gone = rng.choice(sorted(ctx))
+                        yield {n: a for n, a in ctx.items() if n != gone}, u, calc
+                    yield ctx, u, rng.choice([c for c in CALCULI if c != calc])
+                    previous = u
+
+
+def test_walk_answers_as_the_recursive_checker():
+    cases = errors = 0
+    kinds = set()
+    for ctx, t, calc in _differential_cases():
+        want = _outcome(reference_infer, ctx, t, calc)
+        assert _outcome(infer, ctx, t, calc) == want, (ctx, print_term(t), calc)
+        cases += 1
+        if isinstance(want, tuple):
+            errors += 1
+            kinds.add(want[0])
+    assert cases > 5000 and 1000 < errors < cases - 1000, (cases, errors)
+    assert kinds == {UnknownVariable, NotAnImplication, NotAConjunction,
+                     NotADisjunction, TypeMismatch, BranchTypeMismatch,
+                     CalculusViolation, VisserOpenAssumption}, kinds
+
+
+# ------------------------------------------------------------------- depth
+
+P, Q = Atom("p"), Atom("q")
+CHAIN_CTX = {"f": Impl(P, P), "y": P}
+DEEP = 10_000
+
+
+def _deep_chain(redex):
+    """f (R (f (R ... y))), DEEP links deep, of type p under CHAIN_CTX."""
+    e = Var("y")
+    for _ in range(DEEP):
+        e = App(Var("f"), redex(e))
+    return e
+
+
+DEEP_CHAINS = {
+    "application": ("IPC", lambda e: e),
+    "pair/projection": ("IPC", lambda e: Proj(1, Pair(e, Var("y")))),
+    "case": ("IPC", lambda e: Case(Inj(1, P, e), "z", Var("z"), Var("y"))),
+    "hop": ("KP", lambda e: Harrop("x", neg(Q), Inj(1, P, Var("y")), "w", e, Var("y"))),
+    "visser": ("V", lambda e: Visser((("x1", Impl(P, P)),), Inj(1, P, Var("x1")),
+                                     "v", e, Var("y"), "u", (Var("y"),))),
+}
+
+
+@pytest.mark.parametrize("family", DEEP_CHAINS)
+def test_deep_chains_type_without_recursion(default_recursion_limit, family):
+    calc, redex = DEEP_CHAINS[family]
+    t = _deep_chain(redex)
+    assert infer(CHAIN_CTX, t, calc) == P
+    check(CHAIN_CTX, t, P, calc)
+    assert checks(CHAIN_CTX, t, P, calc)
+    assert not checks(CHAIN_CTX, t, Q, calc)
+
+
+def test_deep_abstraction_chain(default_recursion_limit):
+    t = Var("x")
+    for _ in range(DEEP):
+        t = Abs("x", P, t)
+    # a type this deep cannot meet `==` at this limit, so it is read printed
+    assert print_formula(infer({}, t)) == " -> ".join(["p"] * (DEEP + 1))
+    assert checks({}, t)
+
+
+# ----------------------------------------------------------------- sharing
+
+
+def test_doubling_script_checks_each_shared_definition_once(tmp_path, capsys):
+    # inlined, d39 is a tree of about 2**40 nodes; as a DAG it is 40 levels
+    lines = ["calculus IPC", "def d0 : p -> p := fun (x : p) => x"]
+    lines += [f"def d{k} : p -> p := fun (x : p) => d{k - 1} (d{k - 1} x)"
+              for k in range(1, 40)]
+    f = tmp_path / "doubling40.vkp"
+    f.write_text("\n".join(lines) + "\n")
+    assert main(["check", str(f)]) == 0
+    assert capsys.readouterr().out == "".join(f"d{k} : OK (p -> p)\n" for k in range(40))
+
+
+def test_shared_open_node_is_typed_in_each_context():
+    R = Atom("r")
+    s = App(Var("f"), Var("x"))  # one object, under two binders of f
+    t = Abs("f", Impl(P, Q), Abs("x", P, Pair(s, Abs("f", Impl(P, R), s))))
+    assert print_formula(infer({}, t)) == "(p -> q) -> p -> q /\\ ((p -> r) -> r)"
+    assert infer({}, t) == reference_infer({}, t)
+
+
+def test_shared_ill_typed_closed_node_fails_as_the_reference():
+    bad = App(Abs("x", P, Var("x")), Abs("y", Q, Var("y")))  # closed, ill-typed
+    good = Abs("z", Q, Var("z"))
+    for t in (Pair(bad, bad), Pair(good, Pair(good, App(bad, bad))),
+              Abs("w", P, Case(Inj(2, P, good), "v", bad, bad))):
+        want = _outcome(reference_infer, {}, t, "IPC")
+        assert isinstance(want, tuple)
+        assert _outcome(infer, {}, t, "IPC") == want
