@@ -17,8 +17,7 @@ from .parser import (
 )
 from .reduction import (
     RULE_NAMES, TraceStep, decompose, is_normal, replay_step, step_anywhere,
-    step_top, step_top_named, step_weak_head, step_weak_head_named,
-    weak_head_redexes,
+    step_top_named, step_weak_head_named, weak_head_redexes,
 )
 from .normalize import (
     BudgetExceeded, DEFAULT_BUDGET, InternalError, PreconditionViolation,
@@ -50,7 +49,7 @@ __all__ = [
     "is_normal", "is_valid_model", "neg",
     "normalize_full", "normalize_kp", "parse_formula", "parse_script",
     "parse_term", "print_formula", "print_term", "replay_step",
-    "shrink_typed", "step_anywhere", "step_top", "step_top_named",
-    "step_weak_head", "step_weak_head_named", "substitute", "term_depth",
+    "shrink_typed", "step_anywhere", "step_top_named",
+    "step_weak_head_named", "substitute", "term_depth",
     "term_size", "weak_head_normalize", "weak_head_redexes",
 ]

@@ -132,11 +132,6 @@ def step_top_named(t: Term, calculus: str = "IPC", ctx: TypingContext | None = N
     return None
 
 
-def step_top(t: Term, calculus: str = "IPC", ctx: TypingContext | None = None) -> Term | None:
-    r = step_top_named(t, calculus, ctx)
-    return r[0] if r else None
-
-
 # ------------------------------------------------- contexts under subterms
 
 
@@ -237,11 +232,6 @@ def step_weak_head_named(t: Term, ctx: TypingContext | None = None):
         cur = children(cur)[0]
 
 
-def step_weak_head(t: Term, ctx: TypingContext | None = None) -> Term | None:
-    r = step_weak_head_named(t, ctx)
-    return r[0] if r else None
-
-
 def head_spine_paths(t: Term) -> list[tuple[int, ...]]:
     """Every head-spine position of t, outermost first."""
     paths = [()]
@@ -258,7 +248,7 @@ def weak_head_redexes(t: Term, ctx: TypingContext | None = None):
     """Exhaustive search over head-spine positions for firing contractions.
 
     Returns (path, whole reduct, rule) triples; determinism of the head step
-    says there is at most one, and tests hold this against step_weak_head.
+    says there is at most one, and tests hold this against step_weak_head_named.
     """
     out = []
     for path in head_spine_paths(t):

@@ -1,10 +1,14 @@
 """Abstract syntax: formulas, proof terms, contexts.
 
 Terms carry named binders and a formula annotation at every binding site,
-so checking is syntax-directed.  Alpha-equivalence and the nameless
-index form read one stream, a preorder that names each bound variable by
-its distance to its binder.  Substitution is capture-avoiding and renames
-colliding binders deterministically (smallest unused numeric suffix).
+so checking is syntax-directed.  One shape table, `_SHAPES`, states each
+term class's layout in one row, which every walker here reads: the
+children, the rebuild, the binder groups and the index form's tag.
+Alpha-equivalence and the nameless index form read one stream, a preorder
+that names each bound variable by its distance to its binder.
+Substitution is capture-avoiding and renames colliding binders
+deterministically (smallest unused numeric suffix), a binder group at a
+time.
 
 The free variables of a term are computed once per node and kept in a
 hidden `_fv` slot, which is not a dataclass field, so equality, hashing
@@ -15,6 +19,7 @@ lookup that a subterm it leaves alone does not mention the variable.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import chain
 from operator import eq
@@ -199,63 +204,77 @@ TypingContext = dict[str, Formula]
 
 # ------------------------------------------------------- scopes and traversal
 
-# Child index convention, used for reduction paths:
-#   App: 0 fun, 1 arg          Abs: 0 body         Exfalso: 0 arg
-#   Pair: 0 fst, 1 snd         Proj: 0 arg         Inj: 0 arg
-#   Case: 0 scrutinee, 1 branch1, 2 branch2
-#   Visser: 0 main, 1 branch1, 2 branch2, 3.. app_branches
-#   Harrop: 0 main, 1 branch1, 2 branch2
+# A row: children(t), in child-index order (the order reduction paths count
+# in); rebuild(t, children, one name tuple per group); groups(t), the binder
+# groups as (names, child indices they scope); tag(t), the index form's tag
+# and annotations.  The groups partition the child indices, in order, and a
+# group with no names holds the children nothing binds.  A name shared by
+# several children (the case branches, the visser app branches) is one
+# group, so it is renamed in all of them at once.
+_Shape = namedtuple("_Shape", "children rebuild groups tag")
+
+_SHAPES: dict[type, _Shape] = {
+    # A variable's index form depends on its scope; _index_form tells it.
+    Var: _Shape(lambda t: (), lambda t, cs, ns: t, lambda t: (), None),
+    App: _Shape(lambda t: (t.fun, t.arg),
+                lambda t, cs, ns: App(cs[0], cs[1]),
+                lambda t: (((), (0, 1)),),
+                lambda t: ("app",)),
+    Abs: _Shape(lambda t: (t.body,),
+                lambda t, cs, ns: Abs(ns[0][0], t.annot, cs[0]),
+                lambda t: (((t.binder,), (0,)),),
+                lambda t: ("abs", t.annot)),
+    Exfalso: _Shape(lambda t: (t.arg,),
+                    lambda t, cs, ns: Exfalso(t.target, cs[0]),
+                    lambda t: (((), (0,)),),
+                    lambda t: ("efq", t.target)),
+    Pair: _Shape(lambda t: (t.fst, t.snd),
+                 lambda t, cs, ns: Pair(cs[0], cs[1]),
+                 lambda t: (((), (0, 1)),),
+                 lambda t: ("pair",)),
+    Proj: _Shape(lambda t: (t.arg,),
+                 lambda t, cs, ns: Proj(t.index, cs[0]),
+                 lambda t: (((), (0,)),),
+                 lambda t: ("proj", t.index)),
+    Inj: _Shape(lambda t: (t.arg,),
+                lambda t, cs, ns: Inj(t.index, t.other, cs[0]),
+                lambda t: (((), (0,)),),
+                lambda t: ("inj", t.index, t.other)),
+    Case: _Shape(lambda t: (t.scrutinee, t.branch1, t.branch2),
+                 lambda t, cs, ns: Case(cs[0], ns[1][0], cs[1], cs[2]),
+                 lambda t: (((), (0,)), ((t.binder,), (1, 2))),
+                 lambda t: ("case",)),
+    Visser: _Shape(lambda t: (t.main, t.branch1, t.branch2) + t.app_branches,
+                   lambda t, cs, ns: Visser(
+                       tuple(zip(ns[0], (a for _, a in t.binders))), cs[0],
+                       ns[1][0], cs[1], cs[2], ns[2][0], tuple(cs[3:])),
+                   lambda t: ((tuple(n for n, _ in t.binders), (0,)),
+                              ((t.case_binder,), (1, 2)),
+                              ((t.app_binder,), range(3, 3 + len(t.app_branches)))),
+                   lambda t: ("visser", tuple(a for _, a in t.binders))),
+    Harrop: _Shape(lambda t: (t.main, t.branch1, t.branch2),
+                   lambda t, cs, ns: Harrop(ns[0][0], t.annot, cs[0],
+                                            ns[1][0], cs[1], cs[2]),
+                   lambda t: (((t.binder,), (0,)), ((t.case_binder,), (1, 2))),
+                   lambda t: ("hop", t.annot)),
+}
+
+
+def _shape(t: Term) -> _Shape:
+    try:
+        return _SHAPES[type(t)]
+    except KeyError:
+        raise TypeError(f"not a term: {t!r}") from None
 
 
 def children(t: Term) -> tuple[Term, ...]:
-    match t:
-        case Var():
-            return ()
-        case App(f, a):
-            return (f, a)
-        case Abs(_, _, b):
-            return (b,)
-        case Exfalso(_, a):
-            return (a,)
-        case Pair(a, b):
-            return (a, b)
-        case Proj(_, a):
-            return (a,)
-        case Inj(_, _, a):
-            return (a,)
-        case Case(s, _, b1, b2):
-            return (s, b1, b2)
-        case Visser(_, m, _, b1, b2, _, us):
-            return (m, b1, b2) + us
-        case Harrop(_, _, m, _, b1, b2):
-            return (m, b1, b2)
-    raise TypeError(f"not a term: {t!r}")
+    return _shape(t).children(t)
 
 
 def with_children(t: Term, new: tuple[Term, ...]) -> Term:
     """Rebuild t with its children replaced, binders and annotations kept."""
-    match t:
-        case Var():
-            return t
-        case App():
-            return App(new[0], new[1])
-        case Abs(x, a, _):
-            return Abs(x, a, new[0])
-        case Exfalso(f, _):
-            return Exfalso(f, new[0])
-        case Pair():
-            return Pair(new[0], new[1])
-        case Proj(i, _):
-            return Proj(i, new[0])
-        case Inj(i, o, _):
-            return Inj(i, o, new[0])
-        case Case(_, y, _, _):
-            return Case(new[0], y, new[1], new[2])
-        case Visser(bs, _, y, _, _, z, _):
-            return Visser(bs, new[0], y, new[1], new[2], z, tuple(new[3:]))
-        case Harrop(x, a, _, y, _, _):
-            return Harrop(x, a, new[0], y, new[1], new[2])
-    raise TypeError(f"not a term: {t!r}")
+    shape = _shape(t)
+    return shape.rebuild(t, new, [names for names, _ in shape.groups(t)])
 
 
 def _plug(frames, t: Term) -> Term:
@@ -281,25 +300,15 @@ def _subterms(t: Term):
 
 def binders_of_child(t: Term, i: int) -> tuple[str, ...]:
     """Names bound in child i of t, in binding order."""
-    match t:
-        case Abs(x, _, _):
-            return (x,)
-        case Case(_, y, _, _):
-            return () if i == 0 else (y,)
-        case Visser(bs, _, y, _, _, z, _):
-            if i == 0:
-                return tuple(n for n, _ in bs)
-            if i in (1, 2):
-                return (y,)
-            return (z,)
-        case Harrop(x, _, _, y, _, _):
-            return (x,) if i == 0 else (y,)
+    for names, scoped in _shape(t).groups(t):
+        if i in scoped:
+            return names
     return ()
 
 
 def subterm_at(t: Term, path: tuple[int, ...]) -> Term:
-    for i in path:
-        t = children(t)[i]
+    for parent, i in _frames(t, path):
+        t = children(parent)[i]
     return t
 
 
@@ -322,7 +331,6 @@ def replace_at(t: Term, path: tuple[int, ...], new: Term) -> Term:
 
 
 _NO_NAMES: frozenset[str] = frozenset()
-_BINDING = (Abs, Case, Visser, Harrop)
 
 
 def free_vars(t: Term) -> frozenset[str]:
@@ -349,17 +357,17 @@ def free_vars(t: Term) -> frozenset[str]:
                 stack += [(c, None) for c in todo]
                 continue
         fv = _NO_NAMES
-        binding = isinstance(node, _BINDING)
-        for i, c in enumerate(cs):
-            s = frozenset((c.name,)) if isinstance(c, Var) else c._fv
-            if binding:
-                for b in binders_of_child(node, i):
+        for names, scoped in _shape(node).groups(node):
+            for i in scoped:
+                c = cs[i]
+                s = frozenset((c.name,)) if isinstance(c, Var) else c._fv
+                for b in names:
                     if b in s:
                         s = s - {b}
-            if s >= fv:
-                fv = s
-            elif not s <= fv:
-                fv = fv | s
+                if s >= fv:
+                    fv = s
+                elif not s <= fv:
+                    fv = fv | s
         object.__setattr__(node, "_fv", fv)
     return t._fv
 
@@ -408,35 +416,14 @@ def substitute(t: Term, x: str, s: Term) -> Term:
         return s if t.name == x else t
     if x not in free_vars(t):
         return t
-    match t:
-        case App(f, a):
-            return App(substitute(f, x, s), substitute(a, x, s))
-        case Exfalso(f, a):
-            return Exfalso(f, substitute(a, x, s))
-        case Pair(a, b):
-            return Pair(substitute(a, x, s), substitute(b, x, s))
-        case Proj(i, a):
-            return Proj(i, substitute(a, x, s))
-        case Inj(i, o, a):
-            return Inj(i, o, substitute(a, x, s))
-        case Abs(b, ann, body):
-            bound, [body2] = _scoped((b,), [body], x, s)
-            return Abs(bound[0], ann, body2)
-        case Case(sc, y, b1, b2):
-            bound, [c1, c2] = _scoped((y,), [b1, b2], x, s)
-            return Case(substitute(sc, x, s), bound[0], c1, c2)
-        case Visser(bs, m, y, b1, b2, z, us):
-            names = tuple(n for n, _ in bs)
-            names2, [m2] = _scoped(names, [m], x, s)
-            bs2 = tuple((n2, a) for n2, (_, a) in zip(names2, bs))
-            yb, [c1, c2] = _scoped((y,), [b1, b2], x, s)
-            zb, us2 = _scoped((z,), list(us), x, s)
-            return Visser(bs2, m2, yb[0], c1, c2, zb[0], tuple(us2))
-        case Harrop(xb, ann, m, y, b1, b2):
-            hb, [m2] = _scoped((xb,), [m], x, s)
-            yb, [c1, c2] = _scoped((y,), [b1, b2], x, s)
-            return Harrop(hb[0], ann, m2, yb[0], c1, c2)
-    raise TypeError(f"not a term: {t!r}")
+    shape = _shape(t)
+    cs = shape.children(t)
+    names, new = [], []
+    for bound, scoped in shape.groups(t):
+        bound, bodies = _scoped(bound, [cs[i] for i in scoped], x, s)
+        names.append(bound)
+        new += bodies
+    return shape.rebuild(t, new, names)
 
 
 # ---------------------------------------------------------- alpha-equivalence
@@ -466,36 +453,18 @@ def _index_form(t: Term):
         for b in bound:
             scope.setdefault(b, []).append(depth)
             depth += 1
-        match u:
-            case Var(n):
-                ds = scope.get(n)
-                yield ("b", depth - ds[-1] - 1) if ds else ("f", n)
-                continue
-            case App():
-                yield ("app",)
-            case Abs(_, a, _):
-                yield ("abs", a)
-            case Exfalso(f, _):
-                yield ("efq", f)
-            case Pair():
-                yield ("pair",)
-            case Proj(i, _):
-                yield ("proj", i)
-            case Inj(i, o, _):
-                yield ("inj", i, o)
-            case Case():
-                yield ("case",)
-            case Visser(bs):
-                yield ("visser", tuple(a for _, a in bs))
-            case Harrop(_, a):
-                yield ("hop", a)
-        cs = children(u)
-        binding = isinstance(u, _BINDING)
-        for i in reversed(range(len(cs))):
-            bound = binders_of_child(u, i) if binding else ()
-            if bound:
-                todo.append((None, bound))
-            todo.append((cs[i], bound))
+        if isinstance(u, Var):
+            ds = scope.get(u.name)
+            yield ("b", depth - ds[-1] - 1) if ds else ("f", u.name)
+            continue
+        shape = _shape(u)
+        yield shape.tag(u)
+        cs = shape.children(u)
+        for bound, scoped in reversed(shape.groups(u)):
+            for i in reversed(scoped):
+                if bound:
+                    todo.append((None, bound))
+                todo.append((cs[i], bound))
 
 
 def nameless(t: Term) -> tuple:

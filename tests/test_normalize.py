@@ -18,7 +18,7 @@ from vkp.normalize import (
 from vkp.parser import parse_formula, parse_term
 from vkp.reduction import (
     TraceStep, is_normal, replay_step, step_anywhere, step_top_named,
-    step_weak_head, step_weak_head_named, weak_head_redexes,
+    step_weak_head_named, weak_head_redexes,
 )
 from vkp.syntax import (
     Abs, App, Atom, Case, Conj, Disj, Exfalso, FALSUM, Harrop, Impl, Inj,
@@ -163,7 +163,7 @@ def test_normalize_matches_weak_head_then_congruence():
     for seed in range(40):
         ctx, t, a = generate_typed("KP", max_depth=5, atom_count=3, seed=seed)
         nf = normalize_kp(t, ctx)
-        assert step_weak_head(nf, ctx) is None
+        assert step_weak_head_named(nf, ctx) is None
         assert is_normal(nf, "KP", ctx)
 
 

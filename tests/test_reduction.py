@@ -8,8 +8,8 @@ from vkp.gen import generate_typed
 from vkp.parser import parse_term
 from vkp.reduction import (
     ExfalsoHead, InjectionHead, VarAppHead, decompose, is_normal,
-    replay_step, step_anywhere, step_top, step_top_named, step_weak_head,
-    step_weak_head_named, weak_head_redexes,
+    replay_step, step_anywhere, step_top_named, step_weak_head_named,
+    weak_head_redexes,
 )
 from vkp.normalize import TraceStep
 from vkp.syntax import (
@@ -95,17 +95,17 @@ def test_step_top_beta():
 
 
 def test_step_top_projection_and_case():
-    assert step_top(Proj(2, Pair(Var("a"), Var("b")))) == Var("b")
+    assert step_top_named(Proj(2, Pair(Var("a"), Var("b"))))[0] == Var("b")
     t = Case(Inj(1, B, Var("p")), "y", App(Var("f"), Var("y")), Var("y"))
-    assert step_top(t) == App(Var("f"), Var("p"))
+    assert step_top_named(t)[0] == App(Var("f"), Var("p"))
     t2 = Case(Inj(2, A, Var("p")), "y", Var("y"), App(Var("g"), Var("y")))
-    assert step_top(t2) == App(Var("g"), Var("p"))
+    assert step_top_named(t2)[0] == App(Var("g"), Var("p"))
 
 
 def test_step_top_needs_value_shapes():
-    assert step_top(App(Var("f"), Var("x"))) is None
-    assert step_top(Proj(1, Var("p"))) is None
-    assert step_top(Case(Var("d"), "y", Var("y"), Var("y"))) is None
+    assert step_top_named(App(Var("f"), Var("x"))) is None
+    assert step_top_named(Proj(1, Var("p"))) is None
+    assert step_top_named(Case(Var("d"), "y", Var("y"), Var("y"))) is None
 
 
 def test_harrop_inj_rule():
@@ -287,7 +287,7 @@ def test_step_weak_head_projection_chain():
 
 def test_step_weak_head_stops_at_abstraction():
     t = Abs("x", A, App(Abs("y", A, Var("y")), Var("x")))
-    assert step_weak_head(t) is None  # no K frame enters plain binders
+    assert step_weak_head_named(t) is None  # no K frame enters plain binders
 
 
 def test_step_weak_head_descends_into_hop_main():

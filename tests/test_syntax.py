@@ -1,13 +1,21 @@
 """Substitution against an always-rename oracle, free variables, alpha."""
 
 import dataclasses
+import functools
 import itertools
 import random
 
+import pytest
+
+import vkp.syntax
+from substitute_reference import substitute as reference_substitute
+from vkp.gen import CTX_SHAPES, GenerationFailed, generate_typed
+from vkp.parser import print_term
 from vkp.syntax import (
-    Abs, App, Atom, Case, Conj, Disj, Exfalso, FALSUM, Harrop, Impl, Inj,
-    Pair, Proj, Var, Visser, alpha_eq, children, free_vars, fresh_name,
-    nameless, replace_at, substitute, term_depth, term_size,
+    Abs, App, Atom, CALCULI, Case, Conj, Disj, Exfalso, FALSUM, Harrop, Impl,
+    Inj, Pair, Proj, Term, Var, Visser, alpha_eq, binders_of_child, children,
+    free_vars, fresh_name, nameless, neg, replace_at, subterm_at, substitute,
+    term_depth, term_size, with_children,
 )
 
 A = Atom("A")
@@ -471,3 +479,114 @@ def test_constructor_validation():
         Proj(3, Var("x"))
     with pytest.raises(ValueError):
         Inj(0, A, Var("x"))
+
+
+# ------------------------------------------------------------ shape table
+
+H1, H2 = Impl(A, B), Impl(B, C)
+# One sample per term class, with its children in child-index order and the
+# names bound in each child: the convention reduction paths count in.
+LAYOUT = [
+    (Var("v"), (), []),
+    (App(Var("f"), Var("a")), (Var("f"), Var("a")), [(), ()]),
+    (Abs("x", A, Var("x")), (Var("x"),), [("x",)]),
+    (Exfalso(A, Var("b")), (Var("b"),), [()]),
+    (Pair(Var("a"), Var("b")), (Var("a"), Var("b")), [(), ()]),
+    (Proj(1, Var("p")), (Var("p"),), [()]),
+    (Inj(2, B, Var("a")), (Var("a"),), [()]),
+    (Case(Var("d"), "y", Var("y"), Var("c")),
+     (Var("d"), Var("y"), Var("c")), [(), ("y",), ("y",)]),
+    (Visser((("h1", H1), ("h2", H2)), Var("m"), "y", Var("y"), Var("c"),
+            "z", (Var("z"), Var("u"))),
+     (Var("m"), Var("y"), Var("c"), Var("z"), Var("u")),
+     [("h1", "h2"), ("y",), ("y",), ("z",), ("z",)]),
+    (Harrop("x", neg(B), Var("m"), "y", Var("y"), Var("c")),
+     (Var("m"), Var("y"), Var("c")), [("x",), ("y",), ("y",)]),
+]
+
+
+def test_shape_table_has_a_row_per_term_class():
+    classes = {c for c in vars(vkp.syntax).values()
+               if isinstance(c, type) and issubclass(c, Term) and c is not Term}
+    assert set(vkp.syntax._SHAPES) == classes
+    assert {type(t) for t, _, _ in LAYOUT} == classes
+
+
+def test_shape_table_states_the_child_index_convention():
+    for t, kids, bound in LAYOUT:
+        assert children(t) == kids
+        assert [binders_of_child(t, i) for i in range(len(kids))] == bound
+        assert with_children(t, children(t)) == t
+        # the binder groups partition the child indices, in order
+        groups = vkp.syntax._SHAPES[type(t)].groups(t)
+        assert [i for _, scoped in groups for i in scoped] == list(range(len(kids)))
+
+
+def test_table_readers_reject_a_non_term():
+    for call in (lambda: children(A), lambda: with_children(A, ()),
+                 lambda: free_vars(A), lambda: substitute(A, "x", Var("y")),
+                 lambda: nameless(A)):
+        with pytest.raises(TypeError, match="not a term"):
+            call()
+
+
+def test_subterm_at_rejects_an_index_that_names_no_child():
+    t = Pair(Var("a"), Var("b"))
+    for path in ((-1,), (2,), (0, 0)):
+        with pytest.raises(IndexError, match="no child"):
+            subterm_at(t, path)
+        with pytest.raises(IndexError, match="no child"):
+            replace_at(t, path, Var("c"))
+    assert subterm_at(t, (1,)) is t.snd
+
+
+# ------------------------------------------------ substitution, by the table
+
+
+def _bound_names(t):
+    """Every name some node of t binds, read from the fields."""
+    out, stack = set(), [t]
+    while stack:
+        u = stack.pop()
+        stack += children(u)
+        match u:
+            case Abs(x) | Case(_, x):
+                out.add(x)
+            case Harrop(x, _, _, y):
+                out |= {x, y}
+            case Visser(bs, _, y, _, _, z):
+                out |= {n for n, _ in bs} | {y, z}
+    return out
+
+
+def _substitution_cases():
+    """Generated IPC/V/KP terms over the three context shapes, each name
+    free or bound in them, and replacements that capture: a variable named
+    after each binder, and one term naming every binder at once."""
+    for calc in CALCULI:
+        for shape in CTX_SHAPES:
+            for seed in range(40):
+                try:
+                    _, t, _ = generate_typed(calc, max_depth=5, atom_count=3,
+                                             seed=seed, ctx_shape=shape)
+                except GenerationFailed:
+                    continue
+                bound = sorted(_bound_names(t))
+                every = functools.reduce(App, map(Var, bound), Var("k"))
+                for x in sorted(free_vars(t)) + bound:
+                    for s in [Var(b) for b in bound] + [every]:
+                        yield t, x, s
+
+
+def test_substitute_names_binders_as_the_match_based_one():
+    cases = changed = renamed = 0
+    for t, x, s in _substitution_cases():
+        got, want = substitute(t, x, s), reference_substitute(t, x, s)
+        cases += 1
+        if got is want:  # both left t as it is
+            continue
+        assert repr(got) == repr(want), (print_term(t), x, s)
+        changed += 1
+        renamed += not _bound_names(want) <= _bound_names(t)
+    assert cases > 100_000 and changed > 2000 and renamed > 800, \
+        (cases, changed, renamed)
