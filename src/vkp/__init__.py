@@ -4,7 +4,8 @@ Visser and Harrop admissible-rule constructs and their evaluators."""
 from .syntax import (
     Abs, App, Atom, CALCULI, Case, Conj, Disj, Exfalso, FALSUM, Falsum,
     Formula, Harrop, Impl, Inj, Pair, Proj, Term, TypingContext, Var, Visser,
-    alpha_eq, free_vars, is_neg, neg, substitute, term_depth, term_size,
+    alpha_eq, free_vars, is_neg, nameless, neg, substitute, term_depth,
+    term_size,
 )
 from .typecheck import (
     BranchTypeMismatch, CalculusViolation, NotAConjunction, NotADisjunction,
@@ -21,7 +22,7 @@ from .reduction import (
 )
 from .normalize import (
     BudgetExceeded, DEFAULT_BUDGET, InternalError, PreconditionViolation,
-    eval_ipc, eval_v, extract_disjunct, normalize_full, normalize_kp,
+    eval_v, extract_disjunct, normalize_full, normalize_kp,
     weak_head_normalize,
 )
 from .kripke import KripkeModel, forces, is_valid_model
@@ -29,7 +30,7 @@ from .oracle import (
     ClassReport, ClassificationFailure, NotProvable, Provable, classify,
     ipc_provable,
 )
-from .gen import GenerationFailed, generate_typed, shrink_typed
+from .gen import GenerationFailed, generate_typed
 
 __version__ = "0.1.0"
 
@@ -44,12 +45,12 @@ __all__ = [
     "Term", "TraceStep", "TypeCheckError",
     "TypeMismatch", "TypingContext", "UnknownVariable", "Var", "Visser",
     "VisserOpenAssumption", "alpha_eq", "check", "checks", "classify",
-    "decompose", "eval_ipc", "eval_v", "extract_disjunct", "forces",
+    "decompose", "eval_v", "extract_disjunct", "forces",
     "free_vars", "generate_typed", "infer", "ipc_provable", "is_neg",
-    "is_normal", "is_valid_model", "neg",
+    "is_normal", "is_valid_model", "nameless", "neg",
     "normalize_full", "normalize_kp", "parse_formula", "parse_script",
     "parse_term", "print_formula", "print_term", "replay_step",
-    "shrink_typed", "step_anywhere", "step_top_named",
+    "step_anywhere", "step_top_named",
     "step_weak_head_named", "substitute", "term_depth",
     "term_size", "weak_head_normalize", "weak_head_redexes",
 ]

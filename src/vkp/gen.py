@@ -1,4 +1,4 @@
-"""Seeded random generation of well-typed terms, plus a typed shrinker.
+"""Seeded random generation of well-typed terms.
 
 Generation is goal-directed: pick a formula and a context, then inhabit the
 formula, mixing introduction steps with deliberately reducible shapes (beta
@@ -34,8 +34,7 @@ from operator import itemgetter
 
 from .syntax import (
     Abs, App, Atom, Case, Conj, Disj, Exfalso, FALSUM, Falsum, Formula,
-    Harrop, Impl, Inj, Pair, Proj, Term, TypingContext, Var, Visser,
-    free_vars, neg, replace_at, children, term_size, nameless,
+    Harrop, Impl, Inj, Pair, Proj, Term, TypingContext, Var, Visser, neg,
 )
 from .typecheck import _curried, checks
 from .normalize import InternalError
@@ -488,42 +487,3 @@ def generate_typed(calculus: str = "IPC", max_depth: int = 5, atom_count: int = 
     raise GenerationFailed(
         f"no inhabitant within budget (calculus={calculus}, seed={seed})"
     )
-
-
-def _paths(t: Term):
-    """Every (position, subterm) of t, preorder."""
-    stack = [((), t)]
-    while stack:
-        path, s = stack.pop()
-        yield path, s
-        kids = children(s)
-        stack.extend((path + (i,), kids[i]) for i in reversed(range(len(kids))))
-
-
-def shrink_typed(ctx: TypingContext, t: Term, a: Formula,
-                 calculus: str = "IPC") -> list[Term]:
-    """Smaller terms of the same type under the same context, size order."""
-    out = []
-    seen = {nameless(t)}
-    for path, s in _paths(t):
-        if not path:
-            continue
-        if free_vars(s) <= set(ctx) and checks(ctx, s, a, calculus):
-            key = nameless(s)
-            if key not in seen:
-                seen.add(key)
-                out.append(s)
-    names = sorted(ctx)
-    for path, s in _paths(t):
-        if isinstance(s, Var):  # no smaller: every other node has size >= 2
-            continue
-        for n in names:
-            cand = replace_at(t, path, Var(n))
-            key = nameless(cand)
-            if key in seen:
-                continue
-            if checks(ctx, cand, a, calculus):
-                seen.add(key)
-                out.append(cand)
-    out.sort(key=lambda s: (term_size(s), repr(s)))
-    return out

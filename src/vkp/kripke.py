@@ -76,7 +76,7 @@ def is_valid_model(model: KripkeModel) -> bool:
     if len(up.get(0, ())) < n:
         return False
     for ws in model.valuation.values():
-        if any(not up.get(w, set()) <= ws for w in ws):
+        if any(w not in up or not up[w] <= ws for w in ws):
             return False
     return True
 

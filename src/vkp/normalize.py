@@ -1,7 +1,7 @@
 """Normalization strategies and disjunct extraction.
 
-There is one normalization walk, normalize_full; eval_ipc, normalize_kp
-and eval_v check their precondition and run it.  It is an iterative
+There is one normalization walk, normalize_full; normalize_kp and eval_v
+check their precondition and run it.  It is an iterative
 leftmost-outermost walk that contracts the first redex in preorder (the
 head spine first, then the children left to right, under binders
 included).  The walk keeps an explicit stack of (parent, child index)
@@ -29,7 +29,7 @@ a V normal form is a plain intuitionistic term proving the same formula.
 from __future__ import annotations
 
 from .syntax import (
-    Disj, Harrop, Inj, Term, TypingContext, Var, Visser, children, free_vars,
+    Disj, Inj, Term, TypingContext, Var, Visser, children, free_vars,
     _plug, _subterms,
 )
 from .typecheck import TypeCheckError, infer
@@ -136,20 +136,6 @@ def _require_typed(t: Term, ctx: TypingContext, calculus: str):
         return infer(ctx, t, calculus)
     except TypeCheckError as e:
         raise PreconditionViolation(f"term does not check in {calculus}: {e}") from e
-
-
-def eval_ipc(
-    t: Term,
-    ctx: TypingContext | None = None,
-    budget: int | None = None,
-    trace: list[TraceStep] | None = None,
-) -> Term:
-    """Leftmost-outermost normalization for plain IPC terms."""
-    if ctx is not None or not free_vars(t):
-        _require_typed(t, ctx or {}, "IPC")
-    elif any(isinstance(s, (Visser, Harrop)) for s in _subterms(t)):
-        raise PreconditionViolation("term is not in the IPC fragment")
-    return normalize_full(t, "IPC", ctx, budget, trace)
 
 
 def normalize_kp(

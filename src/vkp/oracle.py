@@ -118,9 +118,6 @@ def classify(ctx: TypingContext, t: Term, calculus: str) -> ClassReport:
                 return ClassReport("Abstraction")
             if isinstance(t, Var) and t.name in ctx:
                 return ClassReport("VariableInCtx")
-        case Disj():
-            if isinstance(t, Inj):
-                return ClassReport("Injection")
         case Conj():
             if isinstance(t, Pair):
                 return ClassReport("Pair")

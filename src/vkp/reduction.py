@@ -15,7 +15,8 @@ Rebuilt exfalso nodes in the efq contractions are annotated with the first
 disjunct of the main premise's type.  A visser premise sees only its own
 binders, so Harrop-efq is the one contraction that reads the ambient typing
 context.  The step functions take the caller's root context and work out the
-binder types down to a node (_context, over its frames) only at such a hop.
+binder types down to a node (_context, over its frames, by the type
+checker's child-context rule) only at such a hop.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (
-    Abs, App, Case, Exfalso, Harrop, Impl, Inj, Pair, Proj, Term,
+    Abs, App, Case, Exfalso, Harrop, Inj, Pair, Proj, Term,
     TypingContext, Var, Visser, children, replace_at, subterm_at, substitute,
     _frames, _plug,
 )
-from .typecheck import CalculusViolation, TypeCheckError, _curried, infer
+from .typecheck import CalculusViolation, TypeCheckError, _child_context, infer
 
 RULE_NAMES = (
     "Beta", "Projection", "Case",
@@ -107,7 +108,7 @@ def step_top_named(t: Term, calculus: str = "IPC", ctx: TypingContext | None = N
                     arg = _lams(bs, p)
                     return substitute(b1 if i == 1 else b2, y, arg), "Visser-inj"
                 case ExfalsoHead(_, p):
-                    ty = infer(dict(bs), m, calculus)
+                    ty = infer(_child_context(t, 0, ctx), m, calculus)
                     arg = _lams(bs, Exfalso(ty.left, p))
                     return substitute(b1, y, arg), "Visser-efq"
                 case VarAppHead(_, v, a):
@@ -125,7 +126,7 @@ def step_top_named(t: Term, calculus: str = "IPC", ctx: TypingContext | None = N
                     arg = Abs(x, ann, p)
                     return substitute(b1 if i == 1 else b2, y, arg), "Harrop-inj"
                 case ExfalsoHead(_, p):
-                    ty = infer({**ctx, x: ann}, m, calculus)
+                    ty = infer(_child_context(t, 0, ctx), m, calculus)
                     arg = Abs(x, ann, Exfalso(ty.left, p))
                     return substitute(b1, y, arg), "Harrop-efq"
             return None
@@ -133,35 +134,6 @@ def step_top_named(t: Term, calculus: str = "IPC", ctx: TypingContext | None = N
 
 
 # ------------------------------------------------- contexts under subterms
-
-
-def child_context(t: Term, i: int, ctx: TypingContext, calculus: str) -> TypingContext:
-    """Typing context for child i of t, given the context ctx of t.
-
-    Branch binder types come from the premise, so this infers where needed.
-    """
-    match t:
-        case Abs(x, a, _):
-            return {**ctx, x: a}
-        case Case(sc, y, _, _):
-            if i == 0:
-                return ctx
-            ts = infer(ctx, sc, calculus)
-            return {**ctx, y: ts.left if i == 1 else ts.right}
-        case Visser(bs, m, y, _, _, z, _):
-            if i == 0:
-                return dict(bs)  # the main premise sees the binders only
-            if i in (1, 2):
-                tm = infer(dict(bs), m, calculus)
-                side = tm.left if i == 1 else tm.right
-                return {**ctx, y: _curried(bs, side)}
-            return {**ctx, z: _curried(bs, bs[i - 3][1].left)}
-        case Harrop(x, a, m, y, _, _):
-            if i == 0:
-                return {**ctx, x: a}
-            tm = infer({**ctx, x: a}, m, calculus)
-            return {**ctx, y: Impl(a, tm.left if i == 1 else tm.right)}
-    return ctx
 
 
 def _context(node: Term, frames, ctx: TypingContext | None, calculus: str):
@@ -172,15 +144,19 @@ def _context(node: Term, frames, ctx: TypingContext | None, calculus: str):
     fire, or fires on an injection, builds nothing (the KP head step passes
     every hop of its spine).
 
-    A frame's parent need only be current off the frame's path: child_context
-    reads only its binders and, below a branch, its premise.
+    Each frame's context comes from the checker's own rule, _child_context.
+    A frame's parent need only be current off the frame's path: the rule
+    reads only its binders and, below a branch, its premise (child 0).
     """
     if (calculus != "KP" or not isinstance(node, Harrop)
             or not isinstance(decompose(node.main), ExfalsoHead)):
         return ctx
     ctx = ctx or {}
     for parent, i in frames:
-        ctx = child_context(parent, i, ctx, calculus)
+        premise = None
+        if i in (1, 2) and isinstance(parent, (Case, Harrop, Visser)):
+            premise = infer(_child_context(parent, 0, ctx), children(parent)[0], calculus)
+        ctx = _child_context(parent, i, ctx, premise)
     return ctx
 
 

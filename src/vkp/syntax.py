@@ -298,14 +298,6 @@ def _subterms(t: Term):
         stack.extend(children(s))
 
 
-def binders_of_child(t: Term, i: int) -> tuple[str, ...]:
-    """Names bound in child i of t, in binding order."""
-    for names, scoped in _shape(t).groups(t):
-        if i in scoped:
-            return names
-    return ()
-
-
 def subterm_at(t: Term, path: tuple[int, ...]) -> Term:
     for parent, i in _frames(t, path):
         t = children(parent)[i]
@@ -420,7 +412,10 @@ def substitute(t: Term, x: str, s: Term) -> Term:
     cs = shape.children(t)
     names, new = [], []
     for bound, scoped in shape.groups(t):
-        bound, bodies = _scoped(bound, [cs[i] for i in scoped], x, s)
+        if bound:
+            bound, bodies = _scoped(bound, [cs[i] for i in scoped], x, s)
+        else:  # nothing to rename
+            bodies = [substitute(cs[i], x, s) for i in scoped]
         names.append(bound)
         new += bodies
     return shape.rebuild(t, new, names)

@@ -3,7 +3,9 @@
 IPC is the base; V adds the visser construct, KP adds hop.  A visser main
 premise must be closed apart from the visser binders themselves, and that
 side condition is checked against the main premise's actual free variables,
-so weakening the outer context can never relax it.
+so weakening the outer context can never relax it.  Which context each
+child of a node sees is stated once, in `_child_context`; the reducer reads
+it too, where an efq contraction re-types a main premise.
 
 `infer` is one post-order walk over an explicit stack, so no depth hits the
 recursion limit.  Each waiting node checks what it can before the walk goes
@@ -17,7 +19,7 @@ definitions as shared nodes, so `check` is linear in a script's size.
 from __future__ import annotations
 
 from .syntax import (
-    Abs, App, Case, Conj, Disj, Exfalso, Falsum, Formula, Harrop, Impl, Inj,
+    Abs, App, Atom, Case, Conj, Disj, Exfalso, Falsum, Formula, Harrop, Impl, Inj,
     Pair, Proj, Term, TypingContext, Var, Visser, CALCULI, free_vars,
 )
 
@@ -94,12 +96,44 @@ def _curried(binders, target: Formula) -> Formula:
     return out
 
 
-def _branch_context(node: Term, ctx: TypingContext, d: Formula) -> TypingContext:
-    """The context of a case, hop or visser branch, its premise proving d."""
+def _child_context(node: Term, i: int, ctx: TypingContext,
+                   premise: Formula | None = None) -> TypingContext:
+    """The context child i of node sees, node's own being ctx.  A case, hop
+    or visser branch needs premise, the type of child 0."""
+    if isinstance(node, Abs):
+        return {**ctx, node.binder: node.annot}
+    if not isinstance(node, (Case, Harrop, Visser)):
+        return ctx
+    if i == 0:
+        if isinstance(node, Harrop):
+            return {**ctx, node.binder: node.annot}
+        # a visser main premise sees exactly the visser binders, nothing else
+        return dict(node.binders) if isinstance(node, Visser) else ctx
+    if i > 2:  # a visser app branch
+        bs = node.binders
+        return {**ctx, node.app_binder: _curried(bs, bs[i - 3][1].left)}
+    side = premise.left if i == 1 else premise.right
     if isinstance(node, Case):
-        return {**ctx, node.binder: d}
+        return {**ctx, node.binder: side}
     hyps = node.binders if isinstance(node, Visser) else ((node.binder, node.annot),)
-    return {**ctx, node.case_binder: _curried(hyps, d)}
+    return {**ctx, node.case_binder: _curried(hyps, side)}
+
+
+def _same(a: Formula, b: Formula) -> bool:
+    """a == b from an explicit stack, so no depth hits the recursion limit.
+    The walk goes down left children and stacks the right ones."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        while a is not b:
+            cls = type(a)
+            if cls is not type(b) or cls is Atom and a.name != b.name:
+                return False
+            if cls is Atom or cls is Falsum:
+                break
+            todo.append((a.right, b.right))
+            a, b = a.left, b.left
+    return True
 
 
 def infer(ctx: TypingContext, t: Term, calculus: str = "IPC") -> Formula:
@@ -125,7 +159,7 @@ def infer(ctx: TypingContext, t: Term, calculus: str = "IPC") -> Formula:
                 node = node.fun
             elif isinstance(node, Abs):
                 todo.append((node, cx, 1, None))
-                node, cx = node.body, {**cx, node.binder: node.annot}
+                node, cx = node.body, _child_context(node, 0, cx)
             elif isinstance(node, Pair):
                 todo.append((node, cx, 4, None))
                 node = node.fst
@@ -139,7 +173,7 @@ def infer(ctx: TypingContext, t: Term, calculus: str = "IPC") -> Formula:
                 if calculus != "KP":
                     raise CalculusViolation("hop", calculus)
                 todo.append((node, cx, 7, None))
-                node, cx = node.main, {**cx, node.binder: node.annot}
+                node, cx = node.main, _child_context(node, 0, cx)
             elif isinstance(node, Visser):
                 if calculus != "V":
                     raise CalculusViolation("visser", calculus)
@@ -147,8 +181,7 @@ def infer(ctx: TypingContext, t: Term, calculus: str = "IPC") -> Formula:
                 if extra:
                     raise VisserOpenAssumption(extra)
                 todo.append((node, cx, 7, None))
-                # the main premise sees exactly the visser binders, nothing else
-                node, cx = node.main, dict(node.binders)
+                node, cx = node.main, _child_context(node, 0, cx)
             else:
                 raise TypeError(f"not a term: {node!r}")
         # up: finish the nodes waiting on ty, until one needs another child
@@ -163,7 +196,7 @@ def infer(ctx: TypingContext, t: Term, calculus: str = "IPC") -> Formula:
                 node = node.arg
                 break
             elif stage == 3:
-                if ty != kept.left:
+                if not _same(ty, kept.left):
                     raise TypeMismatch(kept.left, ty)
                 ty = kept.right
             elif stage == 4:
@@ -187,21 +220,19 @@ def infer(ctx: TypingContext, t: Term, calculus: str = "IPC") -> Formula:
                 if not isinstance(ty, Disj):
                     raise NotADisjunction(ty)
                 todo.append((node, cx, 8, ty))
-                node, cx = node.branch1, _branch_context(node, cx, ty.left)
+                node, cx = node.branch1, _child_context(node, 1, cx, ty)
                 break
             elif stage == 8:  # branch1's; kept is the premise's
                 todo.append((node, cx, 9, ty))
-                node, cx = node.branch2, _branch_context(node, cx, kept.right)
+                node, cx = node.branch2, _child_context(node, 2, cx, kept)
                 break
             else:  # branch2's, then each visser app branch's in turn; kept is branch1's
-                if ty != kept:
+                if not _same(ty, kept):
                     raise BranchTypeMismatch(kept, ty)
                 j = stage - 9  # the app branch to type next
                 if isinstance(node, Visser) and j < len(node.binders):
-                    bs = node.binders
                     todo.append((node, cx, stage + 1, kept))
-                    cx = {**cx, node.app_binder: _curried(bs, bs[j][1].left)}
-                    node = node.app_branches[j]
+                    node, cx = node.app_branches[j], _child_context(node, 3 + j, cx)
                     break
                 ty = kept
             memo[id(node)] = ty
@@ -212,7 +243,7 @@ def infer(ctx: TypingContext, t: Term, calculus: str = "IPC") -> Formula:
 def check(ctx: TypingContext, t: Term, expected: Formula, calculus: str = "IPC") -> None:
     """Raise unless t has exactly the expected type under ctx."""
     got = infer(ctx, t, calculus)
-    if got != expected:
+    if not _same(got, expected):
         raise TypeMismatch(expected, got)
 
 
@@ -223,4 +254,4 @@ def checks(ctx: TypingContext, t: Term, expected: Formula | None = None,
         got = infer(ctx, t, calculus)
     except TypeCheckError:
         return False
-    return expected is None or got == expected
+    return expected is None or _same(got, expected)

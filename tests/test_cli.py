@@ -54,6 +54,15 @@ def test_check_type_error_position(tmp_path, capsys):
     assert "oops : error at line 3, column" in out
 
 
+def test_check_deep_type(tmp_path, capsys, default_recursion_limit):
+    arrow = " -> ".join(["p"] * 401)
+    body = " ".join(f"fun (x{i} : p) =>" for i in range(400)) + " x0"
+    f = tmp_path / "deep.vkp"
+    f.write_text(f"calculus IPC\ndef deep : {arrow} := {body}\n")
+    assert main(["check", str(f)]) == 0
+    assert capsys.readouterr().out == f"deep : OK ({arrow})\n"
+
+
 def test_check_missing_file(capsys):
     assert main(["check", "no/such/file.vkp"]) == 2
     assert "cannot read" in capsys.readouterr().err

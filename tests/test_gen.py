@@ -11,12 +11,14 @@ import pytest
 import vkp.gen
 from vkp.gen import (
     _NO_MOVES, ATOM_NAMES, CTX_SHAPES, _classically_false, _Ctx, _ctx_entry,
-    _formula, GenerationFailed, generate_typed, shrink_typed,
+    _formula, GenerationFailed, generate_typed,
 )
 from vkp.kripke import KripkeModel, atoms_of, forces
 from vkp.oracle import Provable, ipc_provable
 from vkp.syntax import FALSUM, Atom, Conj, Disj, Falsum, Impl
 from vkp.typecheck import check
+
+from shrink import shrink_typed
 
 # sha256 of repr(generate_typed(...)) + "\n" over the 180 triples below.  A
 # change that moves it changes every seeded test and benchmark corpus.

@@ -12,7 +12,7 @@ from vkp.gen import (
     ATOM_NAMES, GenerationFailed, _Ctx, _GenState, _inhabit, generate_typed,
 )
 from vkp.normalize import (
-    BudgetExceeded, PreconditionViolation, eval_ipc, eval_v, extract_disjunct,
+    BudgetExceeded, PreconditionViolation, eval_v, extract_disjunct,
     normalize_full, normalize_kp, weak_head_normalize,
 )
 from vkp.parser import parse_formula, parse_term
@@ -37,36 +37,22 @@ HP_TEXT = ("fun (w : ~B -> A1 \\/ A2) => hop (x : ~B). w x of"
 
 def test_eval_ipc_beta():
     t = App(Abs("x", A, Var("x")), Var("z"))
-    assert eval_ipc(t, {"z": A}) == Var("z")
+    assert normalize_full(t, "IPC", {"z": A}) == Var("z")
 
 
 def test_eval_ipc_case_of_injection():
     t = Case(Inj(1, A, Var("a")), "y", Var("y"), Var("y"))
-    assert eval_ipc(t, {"a": A}) == Var("a")
+    assert normalize_full(t, "IPC", {"a": A}) == Var("a")
 
 
 def test_eval_ipc_under_binder():
     t = Abs("x", Conj(A, B), Proj(1, Pair(Proj(1, Var("x")), Proj(2, Var("x")))))
-    assert eval_ipc(t) == Abs("x", Conj(A, B), Proj(1, Var("x")))
+    assert normalize_full(t) == Abs("x", Conj(A, B), Proj(1, Var("x")))
 
 
 def test_eval_ipc_open_term_without_ctx():
-    # no ctx given: only the structural no-admissible-nodes scan applies
     t = App(Abs("x", A, App(Var("f"), Var("x"))), Var("z"))
-    assert eval_ipc(t) == App(Var("f"), Var("z"))
-
-
-def test_eval_ipc_rejects_admissible_nodes():
-    hop = Harrop("x", neg(B), Inj(1, A, Var("x")), "y",
-                 Abs("q", A, Var("q")), Abs("q", A, Var("q")))
-    with pytest.raises(PreconditionViolation):
-        eval_ipc(hop)
-
-
-def test_eval_ipc_rejects_ill_typed_closed():
-    t = App(Abs("x", A, Var("x")), Abs("y", B, Var("y")))  # A vs B -> B
-    with pytest.raises(PreconditionViolation):
-        eval_ipc(t)
+    assert normalize_full(t) == App(Var("f"), Var("z"))
 
 
 def test_eval_v_variable():

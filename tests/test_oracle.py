@@ -8,7 +8,7 @@ import pytest
 
 import vkp.oracle
 
-from vkp.gen import GenerationFailed, generate_typed, shrink_typed
+from vkp.gen import GenerationFailed, generate_typed
 from vkp.kripke import KripkeModel, atoms_of, forces, is_valid_model
 from vkp.normalize import (
     InternalError, PreconditionViolation, eval_v, normalize_kp,
@@ -25,6 +25,7 @@ from vkp.syntax import (
 from vkp.typecheck import check, checks, infer
 
 from kripke_reference import find_countermodel
+from shrink import shrink_typed
 
 A = Atom("A")
 B = Atom("B")
@@ -333,6 +334,11 @@ def test_model_check_accepts_a_model():
 def test_model_check_rejects_order_outside_worlds():
     assert not is_valid_model(_model(2, {(1, 2)}))
     assert not is_valid_model(_model(2, {(-1, 0)}))
+
+
+def test_model_check_rejects_valuation_outside_worlds():
+    assert not is_valid_model(KripkeModel(1, frozenset({(0, 0)}), {"p": frozenset({5})}))
+    assert not is_valid_model(_model(2, set(), {"p": frozenset({-1, 0, 1})}))
 
 
 def test_model_check_rejects_irreflexive_order():

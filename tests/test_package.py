@@ -35,3 +35,23 @@ def test_package_imports_only_the_standard_library():
             for name in names:
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names, f"{f.name} imports {name}"
+
+
+def test_every_top_level_definition_is_used_or_exported():
+    # a definition counts as used when a name or attribute outside its own
+    # body names it, in any module of the package
+    src = Path(vkp.__file__).parent
+    defined, used = [], set()
+    for f in sorted(src.glob("*.py")):
+        for stmt in ast.parse(f.read_text(), str(f)).body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                own = stmt.name
+                defined.append((f.name, own))
+            for node in ast.walk(stmt):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if name is not None and name != own:
+                    used.add(name)
+    unused = [(f, n) for f, n in defined if n not in used and n not in vkp.__all__]
+    assert defined and not unused, unused

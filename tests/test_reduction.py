@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from vkp.gen import generate_typed
+from context_reference import child_context as reference_child_context
+from vkp.gen import CTX_SHAPES, GenerationFailed, generate_typed
 from vkp.parser import parse_term
 from vkp.reduction import (
     ExfalsoHead, InjectionHead, VarAppHead, decompose, is_normal,
@@ -14,9 +15,9 @@ from vkp.reduction import (
 from vkp.normalize import TraceStep
 from vkp.syntax import (
     Abs, App, Atom, Case, Conj, Exfalso, FALSUM, Harrop, Impl, Inj, Pair,
-    Proj, Var, Visser, alpha_eq, neg, substitute, _plug,
+    Proj, Var, Visser, CALCULI, alpha_eq, children, neg, substitute, _plug,
 )
-from vkp.typecheck import CalculusViolation
+from vkp.typecheck import CalculusViolation, _child_context, infer
 
 A = Atom("A")
 B = Atom("B")
@@ -362,3 +363,32 @@ def test_replay_step_rejects_negative_path_index():
     assert replay_step(TraceStep((1,), "Beta", t, after), "IPC")
     assert not replay_step(TraceStep((-1,), "Beta", t, after), "IPC")
     assert not replay_step(TraceStep((-2, 0), "Beta", t, after), "IPC")
+
+
+def test_child_context_is_the_reducers_old_rule():
+    # every child of every node of generated terms and their one-step
+    # reducts; a branch's premise is typed as _context types it
+    positions = 0
+    for calc in CALCULI:
+        for shape in CTX_SHAPES:
+            for seed in range(60):
+                try:
+                    ctx, t, _ = generate_typed(calc, max_depth=6, atom_count=3,
+                                               seed=seed, ctx_shape=shape)
+                except GenerationFailed:
+                    continue
+                for u in [t] + [r for _, r in step_anywhere(t, calc, ctx)]:
+                    todo = [(u, ctx)]
+                    while todo:
+                        node, cx = todo.pop()
+                        for i, c in enumerate(children(node)):
+                            premise = None
+                            if i in (1, 2) and isinstance(node, (Case, Harrop, Visser)):
+                                premise = infer(_child_context(node, 0, cx),
+                                                children(node)[0], calc)
+                            want = reference_child_context(node, i, cx, calc)
+                            got = _child_context(node, i, cx, premise)
+                            assert list(got.items()) == list(want.items()), (node, i)
+                            todo.append((c, want))
+                            positions += 1
+    assert positions > 100_000, positions

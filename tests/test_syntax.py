@@ -13,7 +13,7 @@ from vkp.gen import CTX_SHAPES, GenerationFailed, generate_typed
 from vkp.parser import print_term
 from vkp.syntax import (
     Abs, App, Atom, CALCULI, Case, Conj, Disj, Exfalso, FALSUM, Harrop, Impl,
-    Inj, Pair, Proj, Term, Var, Visser, alpha_eq, binders_of_child, children,
+    Inj, Pair, Proj, Term, Var, Visser, alpha_eq, children,
     free_vars, fresh_name, nameless, neg, replace_at, subterm_at, substitute,
     term_depth, term_size, with_children,
 )
@@ -515,10 +515,11 @@ def test_shape_table_has_a_row_per_term_class():
 def test_shape_table_states_the_child_index_convention():
     for t, kids, bound in LAYOUT:
         assert children(t) == kids
-        assert [binders_of_child(t, i) for i in range(len(kids))] == bound
+        groups = vkp.syntax._SHAPES[type(t)].groups(t)
+        assert [names for i in range(len(kids))
+                for names, scoped in groups if i in scoped] == bound
         assert with_children(t, children(t)) == t
         # the binder groups partition the child indices, in order
-        groups = vkp.syntax._SHAPES[type(t)].groups(t)
         assert [i for _, scoped in groups for i in scoped] == list(range(len(kids)))
 
 

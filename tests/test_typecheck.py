@@ -328,6 +328,32 @@ def test_deep_abstraction_chain(default_recursion_limit):
     assert checks({}, t)
 
 
+def _deep_arrow(target):
+    """p -> p -> ... -> target, DEEP arrows, built apart from any type infer makes."""
+    a = target
+    for _ in range(DEEP):
+        a = Impl(P, a)
+    return a
+
+
+def test_deep_types_compare_without_recursion(default_recursion_limit):
+    t = Var("x")
+    for _ in range(DEEP):
+        t = Abs("x", P, t)
+    deep = _deep_arrow(P)
+    check({}, t, deep)
+    assert checks({}, t, deep)
+    assert not checks({}, t, _deep_arrow(Q))
+    # the argument check of an application, and the agreement of two branches
+    check({}, App(Abs("f", _deep_arrow(P), Var("f")), t), deep)
+    twin = Var("x")
+    for _ in range(DEEP):
+        twin = Abs("x", P, twin)
+    check({"d": Disj(P, Q)}, Case(Var("d"), "y", t, twin), deep)
+    with pytest.raises(BranchTypeMismatch):
+        infer({"d": Disj(P, Q)}, Case(Var("d"), "y", t, Abs("x", Q, twin)))
+
+
 # ----------------------------------------------------------------- sharing
 
 
