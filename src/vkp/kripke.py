@@ -1,9 +1,9 @@
-"""Finite rooted Kripke models: forcing, the model check and gluing.
+"""Finite rooted Kripke models: forcing, the model check, trees to models.
 
 Models live on worlds 0..n-1 with world 0 the root and the order stored as
-a set of pairs.  glue puts a new root below copies of several models; the
-prover (vkp.oracle) builds its countermodels that way from a failed
-search.  A bounded brute-force search, which the tests hold the prover
+a set of pairs.  tree_model numbers the tree of worlds the prover
+(vkp.oracle) reads off a failed search.  Formulas are walked without
+recursion.  A bounded brute-force search, which the tests hold the prover
 against, lives with the tests (tests/kripke_reference.py).
 """
 
@@ -35,21 +35,31 @@ class KripkeModel:
 
 
 def forces(model: KripkeModel, w: int, a: Formula) -> bool:
-    match a:
-        case Atom(n):
-            return w in model.valuation.get(n, frozenset())
-        case Falsum():
-            return False
-        case Conj(l, r):
-            return forces(model, w, l) and forces(model, w, r)
-        case Disj(l, r):
-            return forces(model, w, l) or forces(model, w, r)
-        case Impl(l, r):
-            return all(
-                not forces(model, v, l) or forces(model, v, r)
-                for v in model.above(w)
-            )
-    raise TypeError(f"not a formula: {a!r}")
+    """Whether world w forces a.  Each node of a, subformulas first, gets
+    the bit mask of the worlds forcing it: bit v for world v, and bit n for
+    w when it is none of the n worlds."""
+    n = model.size
+    pos = {v: v for v in range(n)}
+    pos.setdefault(w, n)
+    up = [0] * (n + 1)  # by bit: the worlds above
+    for u, v in model.order:
+        if 0 <= v < n and u in pos:
+            up[pos[u]] |= 1 << v
+    mask: dict[int, int] = {}  # id of a node -> its worlds
+    for f in _subformulas_first(a):
+        if isinstance(f, Atom):
+            ws = model.valuation.get(f.name, ())
+            mask[id(f)] = sum(1 << pos[v] for v in ws if v in pos)
+        elif isinstance(f, Falsum):
+            mask[id(f)] = 0
+        elif isinstance(f, Conj):
+            mask[id(f)] = mask[id(f.left)] & mask[id(f.right)]
+        elif isinstance(f, Disj):
+            mask[id(f)] = mask[id(f.left)] | mask[id(f.right)]
+        else:  # no world above forces the left side but not the right
+            bad = mask[id(f.left)] & ~mask[id(f.right)]
+            mask[id(f)] = sum(1 << i for i, m in enumerate(up) if not m & bad)
+    return bool(mask[id(a)] >> pos[w] & 1)
 
 
 def is_valid_model(model: KripkeModel) -> bool:
@@ -81,33 +91,38 @@ def is_valid_model(model: KripkeModel) -> bool:
     return True
 
 
-def glue(atoms: list[str], models: list[KripkeModel]) -> KripkeModel:
-    """A new root w0 forcing exactly `atoms`, below a copy of each model.
-
-    The models' worlds are renumbered after the root, one model after the
-    other, and the root is put below every world.  The result is a model
-    when the root's atoms hold at the root of every model.
-    """
-    order = {(0, 0)}
-    valuation = {p: {0} for p in atoms}
-    n = 1
-    for m in models:
-        order |= {(u + n, v + n) for u, v in m.order}
-        for p, ws in m.valuation.items():
-            valuation.setdefault(p, set()).update(w + n for w in ws)
-        n += m.size
-    order |= {(0, w) for w in range(n)}
+def tree_model(tree: tuple, atoms: list[str]) -> KripkeModel:
+    """The model of a tree whose nodes are (atoms forced, trees above),
+    numbered in preorder, each below its descendants; the valuation names
+    `atoms`, in order.  A node that occurs twice becomes two worlds."""
+    order: set[tuple[int, int]] = set()
+    valuation: dict[str, list[int]] = {p: [] for p in atoms}
+    stack, n = [(tree, ())], 0
+    while stack:
+        (forced, above), below = stack.pop()
+        below += (n,)
+        order.update((u, n) for u in below)
+        for p in forced:
+            valuation[p].append(n)
+        stack.extend((t, below) for t in reversed(above))
+        n += 1
     return KripkeModel(
         n, frozenset(order), {p: frozenset(ws) for p, ws in valuation.items()}
     )
 
 
+def _subformulas_first(a: Formula) -> list[Formula]:
+    """The nodes of a, each after its subformulas; a shared node recurs."""
+    out, stack = [], [a]
+    while stack:
+        f = stack.pop()
+        out.append(f)
+        if isinstance(f, (Impl, Conj, Disj)):
+            stack += (f.left, f.right)
+        elif not isinstance(f, (Atom, Falsum)):
+            raise TypeError(f"not a formula: {f!r}")
+    return out[::-1]
+
+
 def atoms_of(a: Formula) -> set[str]:
-    match a:
-        case Atom(n):
-            return {n}
-        case Falsum():
-            return set()
-        case Impl(l, r) | Conj(l, r) | Disj(l, r):
-            return atoms_of(l) | atoms_of(r)
-    raise TypeError(f"not a formula: {a!r}")
+    return {f.name for f in _subformulas_first(a) if isinstance(f, Atom)}

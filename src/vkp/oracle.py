@@ -23,23 +23,23 @@ Each hypothesis is paired with a term that proves it, its realizer
 the premise: Proj(1, r) and Proj(2, r) for a conjunction, r r' for p -> B,
 fun c => fun d => r (c, d) for (C /\\ D) -> B, and so on.  So the proof
 term is built as the search goes, and no substitution is ever made; only
-real binders (a right implication, a case, the realizers' own lambdas)
-take a fresh name.  Positive answers are checked in IPC before being
-returned.
+real binders take a fresh name.  One sequent, indexed by shape, serves the
+whole search: each premise adds to it and undoes that on return, keeping
+the hypotheses, and so the search and its names, in a list's order.
+Positive answers are checked in IPC before being returned.
 
 A failed search is itself the countermodel (Pinto and Dyckhoff, "Loop-free
 construction of counter-models for intuitionistic propositional logic",
-1995).  Every failed call returns a finite rooted model whose root forces
-its hypotheses and refutes its goal.  The invertible rules pass a failed
-premise's model up unchanged, and so does a failed right premise
+1995).  A failed call returns a tree of worlds whose root forces the
+call's hypotheses and refutes its goal.  The invertible rules pass a
+failed premise's tree up unchanged, and so does a failed right premise
 B |- goal of a nested implication.  A sequent where every choice fails
-gets a new root forcing exactly its atoms, below the models of both goal
-disjuncts and of each nested implication's left premise.  That root
-refutes each disjunct, and it refutes each C -> D, since the left
-premise's root forces C and refutes D; so it forces every (C -> D) -> B.
-The model is checked against the formula before being returned.  It is
-not the smallest one: for A \\/ ~A it has 3 worlds, for the width-n
-disjunction about n * n.
+gets a new root forcing exactly its atoms, below the trees of both goal
+disjuncts and of each nested implication's left premise; it refutes each
+C -> D, since the left premise's root forces C and refutes D.  The final
+tree becomes a model (vkp.kripke.tree_model), checked against the formula
+before being returned.  It is not the smallest: 3 worlds for A \\/ ~A,
+about n * n for the width-n disjunction.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .syntax import (
 from .typecheck import TypeCheckError, check, infer
 from .reduction import ExfalsoHead, InjectionHead, VarAppHead, decompose, is_normal
 from .normalize import InternalError, PreconditionViolation
-from .kripke import KripkeModel, atoms_of, forces, glue, is_valid_model
+from .kripke import KripkeModel, atoms_of, forces, is_valid_model, tree_model
 
 
 class ClassificationFailure(Exception):
@@ -139,123 +139,138 @@ class NotProvable:
     countermodel: KripkeModel
 
 
-class _Fresh:
+# The shapes of hypotheses other than atoms and False; the first five are
+# invertible, and so is p -> B once p is present.
+_CONJ, _DISJ, _IMP_FALSE, _IMP_CONJ, _IMP_DISJ, _IMP_ATOM, _IMP_IMP = range(7)
+_IMP_TAG = {Falsum: _IMP_FALSE, Conj: _IMP_CONJ, Disj: _IMP_DISJ,
+            Atom: _IMP_ATOM, Impl: _IMP_IMP}
+
+
+class _Sequent:
+    """The hypotheses of one search.  Atoms and False are never consumed:
+    `atoms` maps a name, or None for False, to its first realizer.  `rest`
+    keeps the others in order as (realizer, formula, tag)."""
+
+    __slots__ = ("atoms", "rest", "k")
+
     def __init__(self):
+        self.atoms: dict[str | None, Term] = {}
+        self.rest: list[tuple[Term, Formula, int]] = []
         self.k = 0
 
-    def __call__(self) -> str:
+    def fresh(self) -> str:
         self.k += 1
         return f"h{self.k}"
 
 
-def _without(hyps: list, i: int) -> list:
-    """A new list of the hypotheses but the i-th; built only for a rule
-    that fires."""
-    return hyps[:i] + hyps[i + 1:]
-
-
 def _prove(
-    hyps: list[tuple[Term, Formula]], goal: Formula, fresh: _Fresh
-) -> Term | KripkeModel:
+    s: _Sequent, goal: Formula, out: int | None = None, new: list | tuple = ()
+) -> Term | tuple:
     """Backtracking search over hypotheses paired with their realizers: a
-    proof term built from those realizers, or a model whose root forces
-    every hypothesis and refutes the goal."""
-    for r, a in hyps:
-        if a == goal and isinstance(a, (Atom, Falsum)):
-            return r
-    for r, a in hyps:
-        if isinstance(a, Falsum):
-            return Exfalso(goal, r)
+    proof term built from those realizers, or a tree (atoms, trees above)
+    whose root forces every hypothesis and refutes the goal.  This call
+    alone takes s.rest[out] out and puts `new` (realizer, formula) at the end."""
+    atoms, rest = s.atoms, s.rest
+    entry = None if out is None else rest.pop(out)
+    size, added = len(rest), []
+    for r, a in new:
+        t = type(a)
+        if t is Impl:
+            rest.append((r, a, _IMP_TAG[type(a.left)]))
+        elif t is Atom or t is Falsum:
+            key = a.name if t is Atom else None
+            if key not in atoms:
+                atoms[key] = r
+                added.append(key)
+        else:
+            rest.append((r, a, _CONJ if t is Conj else _DISJ))
+    try:
+        if type(goal) is Atom and goal.name in atoms:
+            return atoms[goal.name]
+        if None in atoms:
+            return atoms[None] if type(goal) is Falsum else Exfalso(goal, atoms[None])
 
-    # invertible left rules: each fires at most once and commits
-    for i, (r, a) in enumerate(hyps):
-        match a:
-            case Conj(c, d):
-                return _prove(_without(hyps, i) + [(Proj(1, r), c), (Proj(2, r), d)],
-                              goal, fresh)
-            case Disj(c, d):
-                rest, n = _without(hyps, i), fresh()
-                sub1 = _prove(rest + [(Var(n), c)], goal, fresh)
-                if isinstance(sub1, KripkeModel):
+        # invertible left rules: the first one that applies fires and commits
+        for i, (r, a, tag) in enumerate(rest):
+            if tag >= _IMP_ATOM and (tag == _IMP_IMP or a.left.name not in atoms):
+                continue
+            if tag == _CONJ:
+                return _prove(s, goal, i, [(Proj(1, r), a.left), (Proj(2, r), a.right)])
+            if tag == _DISJ:
+                n = s.fresh()
+                sub1 = _prove(s, goal, i, [(Var(n), a.left)])
+                if isinstance(sub1, tuple):
                     return sub1
-                sub2 = _prove(rest + [(Var(n), d)], goal, fresh)
-                if isinstance(sub2, KripkeModel):
-                    return sub2
-                return Case(r, n, sub1, sub2)
-            case Impl(Falsum(), _):
-                return _prove(_without(hyps, i), goal, fresh)
-            case Impl(Conj(c, d), b):
-                xc, xd = fresh(), fresh()
+                sub2 = _prove(s, goal, i, [(Var(n), a.right)])
+                return sub2 if isinstance(sub2, tuple) else Case(r, n, sub1, sub2)
+            if tag == _IMP_FALSE:
+                return _prove(s, goal, i)
+            if tag == _IMP_ATOM:
+                return _prove(s, goal, i, [(App(r, atoms[a.left.name]), a.right)])
+            (c, d), b = (a.left.left, a.left.right), a.right
+            xc, xd = s.fresh(), s.fresh()
+            if tag == _IMP_CONJ:
                 curried = Abs(xc, c, Abs(xd, d, App(r, Pair(Var(xc), Var(xd)))))
-                return _prove(_without(hyps, i) + [(curried, Impl(c, Impl(d, b)))],
-                              goal, fresh)
-            case Impl(Disj(c, d), b):
-                xc, xd = fresh(), fresh()
-                left = Abs(xc, c, App(r, Inj(1, d, Var(xc))))
-                right = Abs(xd, d, App(r, Inj(2, c, Var(xd))))
-                return _prove(_without(hyps, i) + [(left, Impl(c, b)), (right, Impl(d, b))],
-                              goal, fresh)
-            case Impl(Atom() as p, b):
-                for r2, a2 in hyps:  # hyps[i] is no atom, so this is rest's first p
-                    if a2 == p:
-                        return _prove(_without(hyps, i) + [(App(r, r2), b)], goal, fresh)
+                return _prove(s, goal, i, [(curried, Impl(c, Impl(d, b)))])
+            left = Abs(xc, c, App(r, Inj(1, d, Var(xc))))
+            right = Abs(xd, d, App(r, Inj(2, c, Var(xd))))
+            return _prove(s, goal, i, [(left, Impl(c, b)), (right, Impl(d, b))])
 
-    # invertible right rules
-    match goal:
-        case Conj(c, d):
-            t1 = _prove(hyps, c, fresh)
-            if isinstance(t1, KripkeModel):
+        # invertible right rules
+        if isinstance(goal, Conj):
+            t1 = _prove(s, goal.left)
+            if isinstance(t1, tuple):
                 return t1
-            t2 = _prove(hyps, d, fresh)
-            if isinstance(t2, KripkeModel):
-                return t2
-            return Pair(t1, t2)
-        case Impl(c, d):
-            n = fresh()
-            sub = _prove(hyps + [(Var(n), c)], d, fresh)
-            if isinstance(sub, KripkeModel):
-                return sub
-            return Abs(n, c, sub)
+            t2 = _prove(s, goal.right)
+            return t2 if isinstance(t2, tuple) else Pair(t1, t2)
+        if isinstance(goal, Impl):
+            n = s.fresh()
+            sub = _prove(s, goal.right, None, [(Var(n), goal.left)])
+            return sub if isinstance(sub, tuple) else Abs(n, goal.left, sub)
 
-    # the genuine choice points: a goal disjunct, or a nested left implication
-    above: list[KripkeModel] = []  # the models of the failed choices
-    if isinstance(goal, Disj):
-        t1 = _prove(hyps, goal.left, fresh)
-        if not isinstance(t1, KripkeModel):
-            return Inj(1, goal.right, t1)
-        t2 = _prove(hyps, goal.right, fresh)
-        if not isinstance(t2, KripkeModel):
-            return Inj(2, goal.left, t2)
-        above += [t1, t2]
-    refuted = None  # a failed right premise refutes this whole sequent
-    for i, (r, a) in enumerate(hyps):
-        match a:
-            case Impl(Impl(c, d), b):
-                rest = _without(hyps, i)
-                xd, xc = fresh(), fresh()
-                back = Abs(xd, d, App(r, Abs(xc, c, Var(xd))))
-                arm = _prove(rest + [(back, Impl(d, b))], Impl(c, d), fresh)
-                if isinstance(arm, KripkeModel):
-                    above.append(arm)
-                    continue
-                sub = _prove(rest + [(App(r, arm), b)], goal, fresh)
-                if isinstance(sub, KripkeModel):
-                    if refuted is None:
-                        refuted = sub
-                    continue
+        # the genuine choice points: a goal disjunct, or a nested left implication
+        above: list[tuple] = []  # the trees of the failed choices
+        if isinstance(goal, Disj):
+            t1 = _prove(s, goal.left)
+            if not isinstance(t1, tuple):
+                return Inj(1, goal.right, t1)
+            t2 = _prove(s, goal.right)
+            if not isinstance(t2, tuple):
+                return Inj(2, goal.left, t2)
+            above += [t1, t2]
+        refuted = None  # a failed right premise refutes this whole sequent
+        for i, (r, a, tag) in enumerate(rest):
+            if tag != _IMP_IMP:
+                continue
+            (c, d), b = (a.left.left, a.left.right), a.right
+            xd, xc = s.fresh(), s.fresh()
+            back = Abs(xd, d, App(r, Abs(xc, c, Var(xd))))
+            arm = _prove(s, a.left, i, [(back, Impl(d, b))])
+            if isinstance(arm, tuple):
+                above.append(arm)
+                continue
+            sub = _prove(s, goal, i, [(App(r, arm), b)])
+            if not isinstance(sub, tuple):
                 return sub
-    if refuted is not None:
-        return refuted
-    return glue([a.name for _, a in hyps if isinstance(a, Atom)], above)
+            if refuted is None:
+                refuted = sub
+        if refuted is not None:
+            return refuted
+        return tuple(atoms), above  # no False here: ex falso would have proved it
+    finally:
+        del rest[size:]
+        for key in added:
+            del atoms[key]
+        if out is not None:
+            rest.insert(out, entry)
 
 
 def ipc_provable(a: Formula) -> Provable | NotProvable:
     """Decide plain intuitionistic provability; both answers are self-checked."""
-    r = _prove([], a, _Fresh())
-    if isinstance(r, KripkeModel):
+    r = _prove(_Sequent(), a)
+    if isinstance(r, tuple):
         # list every atom of the formula, so the model names them all
-        val = {p: r.valuation.get(p, frozenset()) for p in sorted(atoms_of(a))}
-        model = KripkeModel(r.size, r.order, val)
+        model = tree_model(r, sorted(atoms_of(a)))
         if not is_valid_model(model) or forces(model, 0, a):
             raise InternalError("the failed search built a bad countermodel")
         return NotProvable(model)

@@ -1,6 +1,7 @@
 """Normal-form classification, the provability decision, Kripke models,
 and the generator."""
 
+import functools
 import random
 import time
 
@@ -13,18 +14,18 @@ from vkp.kripke import KripkeModel, atoms_of, forces, is_valid_model
 from vkp.normalize import (
     InternalError, PreconditionViolation, eval_v, normalize_kp,
 )
-from vkp.oracle import (
-    ClassificationFailure, NotProvable, Provable, classify, ipc_provable,
-)
+from vkp.oracle import NotProvable, Provable, classify, ipc_provable
 from vkp.parser import parse_formula, parse_term
-from vkp.reduction import is_normal
 from vkp.syntax import (
-    Abs, App, Atom, Conj, Disj, Exfalso, FALSUM, Impl, Inj, Pair, Proj, Var,
+    Abs, App, Atom, Conj, Disj, Exfalso, FALSUM, Impl, Inj, Pair, Var,
     alpha_eq, neg,
 )
 from vkp.typecheck import check, checks, infer
 
 from kripke_reference import find_countermodel
+from prove_reference import (
+    atoms_of as reference_atoms_of, forces as reference_forces, old_ipc_provable,
+)
 from shrink import shrink_typed
 
 A = Atom("A")
@@ -213,11 +214,27 @@ def _de_bruijn(n):
 
 
 def test_de_bruijn_formulas_proved():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         a = _de_bruijn(n)
         r = ipc_provable(a)
         assert isinstance(r, Provable), n
         check({}, r.witness, a, "IPC")
+
+
+def _chain(n):
+    """p1 -> ... -> pn -> p1."""
+    a = Atom("p1")
+    for i in range(n, 0, -1):
+        a = Impl(Atom(f"p{i}"), a)
+    return a
+
+
+def test_implication_chain_proved_at_the_default_limit(default_recursion_limit):
+    # the search takes one frame per hypothesis it introduces, no more
+    a = _chain(800)
+    r = ipc_provable(a)
+    assert isinstance(r, Provable)
+    check({}, r.witness, a, "IPC")
 
 
 def test_prover_rejects_with_countermodels():
@@ -288,13 +305,13 @@ def test_depth_family_refuted():
         assert _refuted_in_time(_depth(n)).size > n
 
 
-def _random_formula(rng, connectives):
+def _random_formula(rng, connectives, atoms="pqr"):
     if connectives == 0:
-        return FALSUM if rng.random() < 0.1 else Atom(rng.choice("pqr"))
+        return FALSUM if rng.random() < 0.1 else Atom(rng.choice(atoms))
     left = rng.randint(0, connectives - 1)
     op = rng.choice((Impl, Impl, Conj, Disj))
-    return op(_random_formula(rng, left),
-              _random_formula(rng, connectives - 1 - left))
+    return op(_random_formula(rng, left, atoms),
+              _random_formula(rng, connectives - 1 - left, atoms))
 
 
 def test_prover_agrees_with_bounded_search():
@@ -312,6 +329,68 @@ def test_prover_agrees_with_bounded_search():
             assert isinstance(r, NotProvable), a
         answers.add(type(r))
     assert answers == {Provable, NotProvable}
+
+
+@functools.cache
+def _differential_corpus():
+    corpus = [parse_formula(s) for s in TAUTOLOGIES + NON_THEOREMS]
+    corpus += [_width(n) for n in range(2, 9)] + [_depth(n) for n in range(1, 7)]
+    corpus += [_de_bruijn(n) for n in (1, 2, 3)] + [_chain(50)]
+    rng = random.Random(1995)
+    corpus += [_random_formula(rng, rng.randint(1, 10), "pqrs") for _ in range(5000)]
+    return corpus
+
+
+def test_prover_answers_as_the_list_prover():
+    # tests/prove_reference.py holds the search that copied its hypothesis
+    # list per rule and glued a model per failed sequent; the indexed one
+    # must give the same witnesses, name for name, and the same models
+    answers = set()
+    for a in _differential_corpus():
+        old, new = old_ipc_provable(a), ipc_provable(a)
+        if isinstance(new, Provable):
+            assert repr(new.witness) == repr(old), a
+        else:
+            assert new.countermodel == old, a
+        answers.add(type(new))
+    assert answers == {Provable, NotProvable}
+
+
+def test_forces_and_atoms_of_answer_as_the_recursive_ones():
+    models = 0
+    for a in _differential_corpus():
+        assert atoms_of(a) == reference_atoms_of(a), a
+        r = ipc_provable(a)
+        if isinstance(r, NotProvable):
+            m, models = r.countermodel, models + 1
+            for w in range(m.size):
+                assert forces(m, w, a) == reference_forces(m, w, a), (a, w)
+    assert models > 1000
+
+
+def test_forces_answers_as_the_recursive_one_on_any_model():
+    # orders and valuations that reach outside the worlds, and worlds
+    # outside the model, as is_valid_model rejects them
+    rng = random.Random(8)
+    worlds = range(-2, 6)
+    for _ in range(3000):
+        order = frozenset((rng.choice(worlds), rng.choice(worlds))
+                          for _ in range(rng.randint(0, 10)))
+        val = {p: frozenset(rng.sample(worlds, rng.randint(0, 4))) for p in "pq"}
+        m = KripkeModel(rng.randint(0, 4), order, val)
+        a, w = _random_formula(rng, rng.randint(0, 6), "pq"), rng.choice(worlds)
+        assert forces(m, w, a) == reference_forces(m, w, a), (m, w, a)
+
+
+def test_forces_and_atoms_of_run_without_recursion(default_recursion_limit):
+    p = Atom("p")
+    valid, refuted = p, FALSUM
+    for _ in range(10_000):
+        valid, refuted = Impl(p, valid), Disj(refuted, Conj(p, p))
+    m = _model(2, set(), {"p": frozenset({1})})
+    assert atoms_of(valid) == atoms_of(refuted) == {"p"}
+    assert forces(m, 0, valid) and forces(m, 1, valid)
+    assert not forces(m, 0, refuted) and forces(m, 1, refuted)
 
 
 def test_prover_rejects_a_bad_countermodel(monkeypatch):

@@ -55,3 +55,18 @@ def test_every_top_level_definition_is_used_or_exported():
                     used.add(name)
     unused = [(f, n) for f, n in defined if n not in used and n not in vkp.__all__]
     assert defined and not unused, unused
+
+
+def test_tests_use_every_name_they_import():
+    unused = []
+    for f in sorted(Path(__file__).parent.glob("*.py")):
+        tree = ast.parse(f.read_text(), str(f))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [a.asname or a.name for a in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(f.name, name) for name in imported if name not in used]
+    assert not unused, unused

@@ -15,7 +15,7 @@ from vkp.reduction import (
 from vkp.normalize import TraceStep
 from vkp.syntax import (
     Abs, App, Atom, Case, Conj, Exfalso, FALSUM, Harrop, Impl, Inj, Pair,
-    Proj, Var, Visser, CALCULI, alpha_eq, children, neg, substitute, _plug,
+    Proj, Var, Visser, CALCULI, alpha_eq, children, neg, _plug,
 )
 from vkp.typecheck import CalculusViolation, _child_context, infer
 

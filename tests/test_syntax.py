@@ -12,7 +12,7 @@ from substitute_reference import substitute as reference_substitute
 from vkp.gen import CTX_SHAPES, GenerationFailed, generate_typed
 from vkp.parser import print_term
 from vkp.syntax import (
-    Abs, App, Atom, CALCULI, Case, Conj, Disj, Exfalso, FALSUM, Harrop, Impl,
+    Abs, App, Atom, CALCULI, Case, Exfalso, FALSUM, Harrop, Impl,
     Inj, Pair, Proj, Term, Var, Visser, alpha_eq, children,
     free_vars, fresh_name, nameless, neg, replace_at, subterm_at, substitute,
     term_depth, term_size, with_children,

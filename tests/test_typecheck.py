@@ -11,7 +11,7 @@ from vkp.parser import parse_formula, parse_term, print_formula, print_term
 from vkp.reduction import step_anywhere
 from vkp.syntax import (
     Abs, App, Atom, CALCULI, Case, Conj, Disj, Exfalso, FALSUM, Harrop, Impl,
-    Inj, Pair, Proj, Var, Visser, children, free_vars, neg, replace_at,
+    Inj, Pair, Proj, Var, Visser, children, neg, replace_at,
     subterm_at, substitute,
 )
 from vkp.typecheck import (
