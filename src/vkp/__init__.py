@@ -14,7 +14,7 @@ from .typecheck import (
 )
 from .parser import (
     Declaration, ParseError, parse_formula, parse_script, parse_term,
-    print_formula, print_term,
+    print_formula, print_term, tokenize,
 )
 from .reduction import (
     RULE_NAMES, TraceStep, decompose, is_normal, replay_step, step_anywhere,
@@ -52,5 +52,5 @@ __all__ = [
     "parse_term", "print_formula", "print_term", "replay_step",
     "step_anywhere", "step_top_named",
     "step_weak_head_named", "substitute", "term_depth",
-    "term_size", "weak_head_normalize", "weak_head_redexes",
+    "term_size", "tokenize", "weak_head_normalize", "weak_head_redexes",
 ]
