@@ -11,10 +11,13 @@ deterministically (smallest unused numeric suffix), a binder group at a
 time.
 
 The free variables of a term are computed once per node and kept in a
-hidden `_fv` slot, which is not a dataclass field, so equality, hashing
-and repr do not see it.  A node whose set equals one child's keeps that
-child's frozenset, and a variable keeps none.  So `substitute` tells at a
-lookup that a subterm it leaves alone does not mention the variable.
+hidden `_fv` slot.  A node whose set equals one child's keeps that child's
+frozenset, and a variable keeps none.  So `substitute` tells at a lookup
+that a subterm it leaves alone does not mention the variable.  Two more
+hidden slots, `_ty` and `_scope`, hold the type `infer` last gave a
+compound node and the (calculus, context) pair it was typed under (see
+`vkp.typecheck`).  No slot is a dataclass field, so equality, hashing,
+repr and the index form do not see them.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ CALCULI = ("IPC", "V", "KP")
 
 
 class Term:
-    __slots__ = ("_fv",)  # free_vars' cache, see the module docstring
+    __slots__ = ("_fv", "_ty", "_scope")  # the caches of free_vars and infer, see above
 
 
 @dataclass(frozen=True, slots=True)

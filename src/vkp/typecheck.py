@@ -10,13 +10,27 @@ it too, where an efq contraction re-types a main premise.
 `infer` is one post-order walk over an explicit stack, so no depth hits the
 recursion limit.  Each waiting node checks what it can before the walk goes
 down its next child, so the first error is the one a recursive checker
-meets first.  A compound node's type is kept by identity for the call; a
-node met again reuses it if it has no free variables (asked only then),
-since a closed term's type does not depend on the context.  Scripts inline
-definitions as shared nodes, so `check` is linear in a script's size.
+meets first.
+
+A compound node's type is kept on the node, in the hidden `_ty` slot, and
+the scope it was typed under in `_scope`: the pair (calculus, context),
+one object per context that every node typed under it shares, so an entry
+costs no object of its own.  A node met again, in this call or a later
+one, reuses its type when the calculus is the same and the context agrees
+with the kept one on every free variable of the node: the same dict or the
+same entries, or else the same formula for each free variable (they are
+asked for only then).  That is sound because a node's type is a function
+of the node, the calculus and the formulas of its free variables alone.
+It rests on contexts never being changed once `infer` has built them:
+`infer` copies the caller's context once at the root, and a binder gets a
+new dict.  So re-checking a reduct or a normal form costs its rebuilt
+spine, and since scripts inline definitions as shared nodes, `check` is
+linear in a script's size.
 """
 
 from __future__ import annotations
+
+from operator import is_
 
 from .syntax import (
     Abs, App, Atom, Case, Conj, Disj, Exfalso, Falsum, Formula, Harrop, Impl, Inj,
@@ -140,67 +154,73 @@ def infer(ctx: TypingContext, t: Term, calculus: str = "IPC") -> Formula:
     """Unique type of t under ctx, or a TypeCheckError."""
     if calculus not in CALCULI:
         raise ValueError(f"unknown calculus {calculus!r}")
-    memo: dict[int, Formula] = {}  # id of a compound node -> its type in this call
-    todo = []  # (node, its context, stage, a type the stage needs), innermost last
-    node, cx = t, ctx
+    todo = []  # (node, its scope, stage, a type the stage needs), innermost last
+    # a scope is (calculus, context), one object per context, kept on every
+    # node typed under it; the root's is a copy that nothing changes
+    node, sc = t, (calculus, dict(ctx))
     while True:
+        cx = sc[1]
         # down: enter node, then its first child, until a type is known
         while True:
-            if isinstance(node, Var):
+            cls = type(node)
+            if cls is Var:
                 if node.name not in cx:
                     raise UnknownVariable(node.name)
                 ty = cx[node.name]
                 break
-            ty = memo.get(id(node))
-            if ty is not None and not free_vars(node):
-                break  # met again and closed: its type holds in any context
-            if isinstance(node, App):
-                todo.append((node, cx, 2, None))
+            ty = getattr(node, "_ty", None)
+            if ty is not None and _holds(node._scope, sc, node):
+                break
+            if cls is App:
+                todo.append((node, sc, 2, None))
                 node = node.fun
-            elif isinstance(node, Abs):
-                todo.append((node, cx, 1, None))
-                node, cx = node.body, _child_context(node, 0, cx)
-            elif isinstance(node, Pair):
-                todo.append((node, cx, 4, None))
+            elif cls is Abs:
+                todo.append((node, sc, 1, None))
+                cx = _child_context(node, 0, cx)
+                node, sc = node.body, (calculus, cx)
+            elif cls is Pair:
+                todo.append((node, sc, 4, None))
                 node = node.fst
-            elif isinstance(node, (Proj, Inj, Exfalso)):
-                todo.append((node, cx, 6, None))
+            elif cls is Proj or cls is Inj or cls is Exfalso:
+                todo.append((node, sc, 6, None))
                 node = node.arg
-            elif isinstance(node, Case):
-                todo.append((node, cx, 7, None))
+            elif cls is Case:
+                todo.append((node, sc, 7, None))
                 node = node.scrutinee
-            elif isinstance(node, Harrop):
+            elif cls is Harrop:
                 if calculus != "KP":
                     raise CalculusViolation("hop", calculus)
-                todo.append((node, cx, 7, None))
-                node, cx = node.main, _child_context(node, 0, cx)
-            elif isinstance(node, Visser):
+                todo.append((node, sc, 7, None))
+                cx = _child_context(node, 0, cx)
+                node, sc = node.main, (calculus, cx)
+            elif cls is Visser:
                 if calculus != "V":
                     raise CalculusViolation("visser", calculus)
                 extra = free_vars(node.main) - {n for n, _ in node.binders}
                 if extra:
                     raise VisserOpenAssumption(extra)
-                todo.append((node, cx, 7, None))
-                node, cx = node.main, _child_context(node, 0, cx)
+                todo.append((node, sc, 7, None))
+                cx = _child_context(node, 0, cx)
+                node, sc = node.main, (calculus, cx)
             else:
                 raise TypeError(f"not a term: {node!r}")
         # up: finish the nodes waiting on ty, until one needs another child
         while todo:
-            node, cx, stage, kept = todo.pop()
+            node, sc, stage, kept = todo.pop()
             if stage == 1:
                 ty = Impl(node.annot, ty)
             elif stage == 2:  # the function's type, checked before the argument is typed
                 if not isinstance(ty, Impl):
                     raise NotAnImplication(ty)
-                todo.append((node, cx, 3, ty))
+                todo.append((node, sc, 3, ty))
                 node = node.arg
                 break
             elif stage == 3:
-                if not _same(ty, kept.left):
+                if ty is not kept.left and not _same(ty, kept.left):
                     raise TypeMismatch(kept.left, ty)
                 ty = kept.right
             elif stage == 4:
-                todo.append((node, cx, 5, ty))
+                todo.append((node, sc, 5, ty))
                 node = node.snd
                 break
             elif stage == 5:
@@ -219,25 +239,52 @@ def infer(ctx: TypingContext, t: Term, calculus: str = "IPC") -> Formula:
             elif stage == 7:  # the premise of a case, hop or visser
                 if not isinstance(ty, Disj):
                     raise NotADisjunction(ty)
-                todo.append((node, cx, 8, ty))
-                node, cx = node.branch1, _child_context(node, 1, cx, ty)
+                todo.append((node, sc, 8, ty))
+                node, sc = node.branch1, (calculus, _child_context(node, 1, sc[1], ty))
                 break
             elif stage == 8:  # branch1's; kept is the premise's
-                todo.append((node, cx, 9, ty))
-                node, cx = node.branch2, _child_context(node, 2, cx, kept)
+                todo.append((node, sc, 9, ty))
+                node, sc = node.branch2, (calculus, _child_context(node, 2, sc[1], kept))
                 break
             else:  # branch2's, then each visser app branch's in turn; kept is branch1's
-                if not _same(ty, kept):
+                if ty is not kept and not _same(ty, kept):
                     raise BranchTypeMismatch(kept, ty)
                 j = stage - 9  # the app branch to type next
                 if isinstance(node, Visser) and j < len(node.binders):
-                    todo.append((node, cx, stage + 1, kept))
-                    node, cx = node.app_branches[j], _child_context(node, 3 + j, cx)
+                    todo.append((node, sc, stage + 1, kept))
+                    cx = _child_context(node, 3 + j, sc[1])
+                    node, sc = node.app_branches[j], (calculus, cx)
                     break
                 ty = kept
-            memo[id(node)] = ty
+            _keep_type(node, ty)
+            _keep_scope(node, sc)
         else:
             return ty
+
+
+# the slots' own setters: no attribute lookup, and no frozen-dataclass guard
+_keep_type, _keep_scope = Term._ty.__set__, Term._scope.__set__
+
+
+def _holds(was: tuple, now: tuple, node: Term) -> bool:
+    """Whether the type node had in scope was holds in scope now, each a
+    (calculus, context) pair: the same calculus, and a context that gives
+    every free variable of node the formula was gave it.  The same scope, or
+    contexts with the same entries in the same order, settle it without
+    asking for node's free variables."""
+    if was is now:
+        return True
+    if was[0] != now[0]:
+        return False
+    old, cx = was[1], now[1]
+    if len(old) == len(cx) and all(map(is_, old.values(), cx.values())) \
+            and list(old) == list(cx):
+        return True
+    for x in free_vars(node):
+        a = cx.get(x)
+        if a is None or not (a is old[x] or _same(a, old[x])):
+            return False
+    return True
 
 
 def check(ctx: TypingContext, t: Term, expected: Formula, calculus: str = "IPC") -> None:

@@ -17,6 +17,7 @@ from vkp.syntax import (
     free_vars, fresh_name, nameless, neg, replace_at, subterm_at, substitute,
     term_depth, term_size, with_children,
 )
+from vkp.typecheck import check, checks
 
 A = Atom("A")
 B = Atom("B")
@@ -261,14 +262,27 @@ def test_free_vars_shares_a_childs_set():
 
 
 def test_cached_free_vars_leave_the_value_alone():
+    # the same for the type infer keeps on a node
+    pool = {n: A for n in ("x", "y", "z", "w")}
     for seed in range(50):
         t = rand_term(random.Random(seed), 4)
         twin = rand_term(random.Random(seed), 4)
         before = (hash(t), repr(t))
         free_vars(t)
+        for calc in CALCULI:
+            checks(pool, t, calculus=calc)
         assert (hash(t), repr(t)) == before
         assert t == twin and hash(t) == hash(twin)
         assert nameless(t) == nameless(twin)
+    for calc in CALCULI:
+        for seed in range(10):
+            ctx, t, a = generate_typed(calc, max_depth=5, atom_count=3, seed=seed)
+            _, twin, _ = generate_typed(calc, max_depth=5, atom_count=3, seed=seed)
+            before = (hash(t), repr(t), nameless(t))
+            check(ctx, t, a, calc)
+            assert all(getattr(u, "_ty", None) for u in children(t) if type(u) is not Var)
+            assert (hash(t), repr(t), nameless(t)) == before
+            assert t == twin and hash(t) == hash(twin) and repr(t) == repr(twin)
     names = {
         Var: ("name",), App: ("fun", "arg"), Abs: ("binder", "annot", "body"),
         Exfalso: ("target", "arg"), Pair: ("fst", "snd"), Proj: ("index", "arg"),

@@ -11,7 +11,7 @@ from vkp.parser import parse_formula, parse_term, print_formula, print_term
 from vkp.reduction import step_anywhere
 from vkp.syntax import (
     Abs, App, Atom, CALCULI, Case, Conj, Disj, Exfalso, FALSUM, Harrop, Impl,
-    Inj, Pair, Proj, Var, Visser, children, neg, replace_at,
+    Inj, Pair, Proj, Var, Visser, children, free_vars, neg, replace_at,
     subterm_at, substitute,
 )
 from vkp.typecheck import (
@@ -268,16 +268,32 @@ def _differential_cases():
                     previous = u
 
 
+def _rechecks(rng, ctx, t, calc):
+    """The same objects again, once t is checked: under a context that
+    gives one of its free variables another formula, and under each other
+    calculus, so that a type kept on a node is asked for where it is wrong."""
+    named = sorted(free_vars(t) & ctx.keys())
+    if named:
+        x = rng.choice(named)
+        other = [a for a in ctx.values() if a != ctx[x]]
+        yield {**ctx, x: rng.choice(other) if other else neg(ctx[x])}, t, calc
+    for c in CALCULI:
+        if c != calc:
+            yield ctx, t, c
+
+
 def test_walk_answers_as_the_recursive_checker():
+    rng = random.Random(1414)
     cases = errors = 0
     kinds = set()
-    for ctx, t, calc in _differential_cases():
-        want = _outcome(reference_infer, ctx, t, calc)
-        assert _outcome(infer, ctx, t, calc) == want, (ctx, print_term(t), calc)
-        cases += 1
-        if isinstance(want, tuple):
-            errors += 1
-            kinds.add(want[0])
+    for case in _differential_cases():
+        for ctx, t, calc in (case, *_rechecks(rng, *case)):
+            want = _outcome(reference_infer, ctx, t, calc)
+            assert _outcome(infer, ctx, t, calc) == want, (ctx, print_term(t), calc)
+            cases += 1
+            if isinstance(want, tuple):
+                errors += 1
+                kinds.add(want[0])
     assert cases > 5000 and 1000 < errors < cases - 1000, (cases, errors)
     assert kinds == {UnknownVariable, NotAnImplication, NotAConjunction,
                      NotADisjunction, TypeMismatch, BranchTypeMismatch,
@@ -374,6 +390,46 @@ def test_shared_open_node_is_typed_in_each_context():
     t = Abs("f", Impl(P, Q), Abs("x", P, Pair(s, Abs("f", Impl(P, R), s))))
     assert print_formula(infer({}, t)) == "(p -> q) -> p -> q /\\ ((p -> r) -> r)"
     assert infer({}, t) == reference_infer({}, t)
+    xx = Pair(Var("x"), Var("x"))  # one object, under a binder of x at p and one at q
+    u = Pair(Abs("x", P, xx), Abs("x", Q, xx))
+    assert print_formula(infer({}, u)) == "(p -> p /\\ p) /\\ (q -> q /\\ q)"
+    assert infer({}, u) == reference_infer({}, u)
+
+
+def test_a_context_dict_changed_between_checks_is_followed():
+    ctx = {"x": P, "y": Q}
+    t = Abs("z", Q, Pair(Var("x"), Pair(Var("y"), Var("z"))))
+    check(ctx, t, Impl(Q, Conj(P, Conj(Q, Q))))
+    ctx["x"] = Q
+    check(ctx, t, Impl(Q, Conj(Q, Conj(Q, Q))))
+    assert infer(ctx, t) == reference_infer(ctx, t)
+    del ctx["y"]
+    want = _outcome(reference_infer, ctx, t, "IPC")
+    assert want == (UnknownVariable, "unknown variable y")
+    assert _outcome(infer, ctx, t, "IPC") == want
+    # the same formulas in the same order, given to other names
+    u = Pair(Var("a"), Var("b"))
+    assert infer({"a": P, "b": Q}, u) == Conj(P, Q)
+    assert infer({"b": P, "a": Q}, u) == Conj(Q, P)
+
+
+def test_reducts_of_a_checked_term_answer_as_the_recursive_checker():
+    # a reduct shares every node off its rebuilt spine with the checked term
+    reducts = 0
+    for calc in CALCULI:
+        for shape in CTX_SHAPES:
+            for seed in range(40):
+                try:
+                    ctx, t, a = generate_typed(calc, max_depth=5, atom_count=3,
+                                               seed=seed, ctx_shape=shape)
+                except GenerationFailed:
+                    continue
+                check(ctx, t, a, calc)
+                for _, r in step_anywhere(t, calc, ctx):
+                    assert _outcome(infer, ctx, r, calc) \
+                        == _outcome(reference_infer, ctx, r, calc), (print_term(r), calc)
+                    reducts += 1
+    assert reducts > 600, reducts
 
 
 def test_shared_ill_typed_closed_node_fails_as_the_reference():
