@@ -17,8 +17,8 @@ from .parser import (
     print_formula, print_term, tokenize,
 )
 from .reduction import (
-    RULE_NAMES, TraceStep, decompose, is_normal, replay_step, step_anywhere,
-    step_top_named, step_weak_head_named, weak_head_redexes,
+    TraceStep, decompose, is_normal, replay_step, step_anywhere, step_top_named,
+    step_weak_head_named, weak_head_redexes,
 )
 from .normalize import (
     BudgetExceeded, DEFAULT_BUDGET, InternalError, PreconditionViolation,
@@ -41,8 +41,8 @@ __all__ = [
     "Falsum", "Formula", "GenerationFailed", "Harrop", "Impl", "Inj",
     "InternalError", "KripkeModel", "NotAConjunction", "NotADisjunction",
     "NotAnImplication", "NotProvable", "Pair", "ParseError",
-    "PreconditionViolation", "Proj", "Provable", "RULE_NAMES",
-    "Term", "TraceStep", "TypeCheckError",
+    "PreconditionViolation", "Proj", "Provable", "Term", "TraceStep",
+    "TypeCheckError",
     "TypeMismatch", "TypingContext", "UnknownVariable", "Var", "Visser",
     "VisserOpenAssumption", "alpha_eq", "check", "checks", "classify",
     "decompose", "eval_v", "extract_disjunct", "forces",

@@ -5,9 +5,10 @@ check their precondition and run it.  It is an iterative
 leftmost-outermost walk that contracts the first redex in preorder (the
 head spine first, then the children left to right, under binders
 included).  The walk keeps an explicit stack of (parent, child index)
-frames instead of recursing, so the depth of a redex is not limited by the
-interpreter's recursion limit; substitution still recurses over the
-subterms it touches (inference does not).  These are the frames head
+frames instead of recursing, and neither substitution nor inference
+recurses, so the recursion limit bounds neither the depth of a redex nor
+that of the body it contracts over (a beta redex or a case on an
+injection over a 10,000-deep body normalizes).  These are the frames head
 contexts are made of too, and the one plug, syntax._plug, rebuilds the
 term from them.  A contraction can only turn ancestors reached through
 child-0 links into redexes (a visser or hop fires on the head spine of its

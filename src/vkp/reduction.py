@@ -30,12 +30,6 @@ from .syntax import (
 )
 from .typecheck import CalculusViolation, TypeCheckError, _child_context, infer
 
-RULE_NAMES = (
-    "Beta", "Projection", "Case",
-    "Visser-inj", "Visser-efq", "Visser-app",
-    "Harrop-inj", "Harrop-efq",
-)
-
 
 # ------------------------------------------------------------- decomposition
 

@@ -8,7 +8,7 @@ Alpha-equivalence and the nameless index form read one stream, a preorder
 that names each bound variable by its distance to its binder.
 Substitution is capture-avoiding and renames colliding binders
 deterministically (smallest unused numeric suffix), a binder group at a
-time.
+time, in one walk over an explicit stack of jobs; no walk here recurses.
 
 The free variables of a term are computed once per node and kept in a
 hidden `_fv` slot.  A node whose set equals one child's keeps that child's
@@ -378,50 +378,53 @@ def fresh_name(base: str, avoid: set[str]) -> str:
 # -------------------------------------------------------------- substitution
 
 
-def _scoped(bound: tuple[str, ...], bodies: list[Term], x: str, s: Term):
-    """Substitute s for x in bodies sharing one binder group, renaming on capture.
-
-    A binder name shared across bodies (case branches, visser app branches)
-    is renamed in all of them at once, keeping the single stored name valid.
-    """
-    if x in bound or all(x not in free_vars(b) for b in bodies):
-        return bound, bodies
-    fvs = free_vars(s)
-    if any(b in fvs for b in bound):
-        avoid = {x, *bound, *fvs}
-        for b in bodies:
-            avoid |= free_vars(b)
-        new_bound = []
-        for b in bound:
-            if b in fvs:
-                b2 = fresh_name(b, avoid)
-                avoid.add(b2)
-                bodies = [substitute(bd, b, Var(b2)) for bd in bodies]
-                new_bound.append(b2)
-            else:
-                new_bound.append(b)
-        bound = tuple(new_bound)
-    bodies = [substitute(b, x, s) for b in bodies]
-    return bound, bodies
-
-
 def substitute(t: Term, x: str, s: Term) -> Term:
-    """t with s put in for free occurrences of x, renaming binders on capture."""
-    if isinstance(t, Var):
-        return s if t.name == x else t
-    if x not in free_vars(t):
-        return t
-    shape = _shape(t)
-    cs = shape.children(t)
-    names, new = [], []
-    for bound, scoped in shape.groups(t):
-        if bound:
-            bound, bodies = _scoped(bound, [cs[i] for i in scoped], x, s)
-        else:  # nothing to rename
-            bodies = [substitute(cs[i], x, s) for i in scoped]
-        names.append(bound)
-        new += bodies
-    return shape.rebuild(t, new, names)
+    """t with s put in for free occurrences of x, renaming binders on capture.
+
+    Each job (x, s, slots, i) on an explicit stack puts s for x in the term
+    at slots[i].  A node that mentions x gets a list of its new children,
+    filled by their jobs before (None, (children, names), slots, i)
+    rebuilds it; an unbound child that does not mention x gets no job.  A
+    binder group that would capture a free name of s is renamed in all its
+    bodies: each takes one renaming job per captured binder, then s for x.
+    """
+    top = [t]
+    jobs = [(x, s, top, 0)]
+    while jobs:
+        x, s, slots, i = jobs.pop()
+        u = slots[i]
+        if x is None:  # s holds u's new children and binder names
+            cs, names = s
+            slots[i] = _shape(u).rebuild(u, cs, names)
+        elif isinstance(u, Var):
+            if u.name == x:
+                slots[i] = s
+        elif x in free_vars(u):  # which fills the `_fv` slot of u's compound children
+            shape = _shape(u)
+            cs, names = list(shape.children(u)), []
+            jobs.append((None, (cs, names), slots, i))
+            for bound, scoped in shape.groups(u):
+                if not bound:
+                    for j in scoped:
+                        c = cs[j]
+                        if isinstance(c, Var):
+                            if c.name == x:
+                                cs[j] = s
+                        elif x in c._fv:
+                            jobs.append((x, s, cs, j))
+                elif x not in bound and any(x in free_vars(cs[j]) for j in scoped):
+                    chain, fvs = [(x, s)], free_vars(s)
+                    if not fvs.isdisjoint(bound):
+                        avoid = {x, *bound, *fvs}.union(*(free_vars(cs[j]) for j in scoped))
+                        bound = list(bound)
+                        for k, b in enumerate(bound):
+                            if b in fvs:
+                                bound[k] = fresh_name(b, avoid)
+                                avoid.add(bound[k])
+                                chain.insert(1, (b, Var(bound[k])))  # runs before the later ones
+                    jobs += [(y, r, cs, j) for j in scoped for y, r in chain]
+                names.append(bound)
+    return top[0]
 
 
 # ---------------------------------------------------------- alpha-equivalence

@@ -8,7 +8,6 @@ same trees, declarations and tokens from both, or the same ParseError:
 message, line, column and expected tuple.
 """
 
-import ast
 import functools
 import io
 import json
@@ -233,40 +232,29 @@ def test_terms_parse_and_print_at_any_depth(default_recursion_limit):
 
 
 def test_check_and_normalize_a_deep_script(tmp_path, default_recursion_limit):
-    body = "fun (f : p -> p) => fun (x : p) => " + "f (" * (N - 1) + "f x" + ")" * (N - 1)
-    path = tmp_path / "nested.vkp"
-    path.write_text(f"calculus IPC\ndef nest : (p -> p) -> p -> p := {body}\n")
-    assert _run(["check", str(path)]) == (0, "nest : OK ((p -> p) -> p -> p)\n", "")
-    code, out, err = _run(["normalize", str(path), "nest", "--json"])
-    assert (code, err) == (0, "")
-    assert json.loads(out) == {"normalForm": body}
-
-
-def test_no_function_in_the_parser_calls_itself():
-    # the call graph of src/vkp/parser.py, by the names each function
-    # calls, as a plain call or as a method (but super()'s), has no cycle
-    def callee(call):
-        f = call.func
-        if isinstance(f, ast.Name):
-            return f.id
-        if isinstance(f, ast.Attribute) and not (
-            isinstance(f.value, ast.Call) and getattr(f.value.func, "id", None) == "super"
-        ):
-            return f.attr
-        return None
-
-    tree = ast.parse((ROOT / "src" / "vkp" / "parser.py").read_text())
-    calls = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef):
-            calls.setdefault(node.name, set()).update(
-                callee(c) for c in ast.walk(node) if isinstance(c, ast.Call))
-    assert {"_formula", "_term", "parse_script", "print_term", "print_formula"} <= set(calls)
-    for start in calls:
-        seen, todo = set(), [start]
-        while todo:
-            for name in calls.get(todo.pop(), ()):
-                assert name != start, f"{start} reaches itself"
-                if name not in seen:
-                    seen.add(name)
-                    todo.append(name)
+    # a body nesting applications N deep; as it is, through an inlined
+    # definition, under a beta redex and under a case on an injection, each
+    # script normalizes to that body by the contractions listed
+    deep = "f (" * (N - 1) + "f {}" + ")" * (N - 1)
+    body = "fun (f : p -> p) => fun (x : p) => " + deep.format("x")
+    ty = "(p -> p) -> p -> p"
+    scripts = {
+        "nest": (body, []),
+        "use": (f"fun (f : p -> p) => fun (x : p) => {deep.format('(id x)')}", ["Beta"]),
+        "redex": (f"fun (f : p -> p) => fun (x : p) => (fun (z : p) => {deep.format('z')}) x",
+                  ["Beta"]),
+        "branch": ("fun (f : p -> p) => fun (x : p) => case inj1[q] x of "
+                   f"{{ z => {deep.format('z')} | z => x }}", ["Case"]),
+    }
+    for name, (text, rules) in scripts.items():
+        path = tmp_path / f"{name}.vkp"
+        path.write_text(f"calculus IPC\ndef id : p -> p := fun (y : p) => y\n"
+                        f"def {name} : {ty} := {text}\n")
+        assert _run(["check", str(path)]) == (
+            0, f"id : OK (p -> p)\n{name} : OK ({ty})\n", ""), name
+        assert _run(["normalize", str(path), name]) == (0, body + "\n", ""), name
+        code, out, err = _run(["normalize", str(path), name, "--trace", "--json"])
+        assert (code, err) == (0, ""), name
+        got = json.loads(out)
+        assert got["normalForm"] == body, name
+        assert [s["rule"] for s in got["steps"]] == rules, name

@@ -70,3 +70,80 @@ def test_tests_use_every_name_they_import():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [(f.name, name) for name in imported if name not in used]
     assert not unused, unused
+
+
+# The functions of src/vkp that reach themselves in the call graph, each
+# with what bounds its depth.  The list can only shrink: a listed function
+# that no longer reaches itself fails the guard too.
+RECURSIVE = {
+    # the generator's search: _inhabit and its ten moves, each call a step
+    # down from max_depth
+    ("gen", "_inhabit"), ("gen", "_intro"), ("gen", "_app_ctx"),
+    ("gen", "_app_ctx2"), ("gen", "_case_ctx"), ("gen", "_exfalso_neg"),
+    ("gen", "_beta_redex"), ("gen", "_proj_redex"), ("gen", "_case_redex"),
+    ("gen", "_try_harrop"), ("gen", "_try_visser"),
+    # a random formula, at most 3 deep wherever it is called
+    ("gen", "_formula"),
+    # G4ip search, one frame per rule and unbounded: `vkp prove` of a
+    # 1,000-deep implication exits with a RecursionError
+    ("oracle", "_prove"),
+}
+
+
+def _call_graph():
+    """{(module, function): the (module, function) pairs it calls} over
+    src/vkp, a method keyed as Class.name.  Only plain calls f(...) count,
+    resolved to the module's own function or to the one a `from .m import
+    f` brings in, and self.f(...) or cls.f(...) in a method, resolved to
+    its class's.  So shape.children(...) is no edge, and gen._formula is
+    not parser._formula."""
+    funcs, imported = {}, {}
+    for f in Path(vkp.__file__).parent.glob("*.py"):
+        mod = f.stem
+        todo = [(ast.parse(f.read_text(), str(f)), None)]
+        while todo:
+            node, cls = todo.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ImportFrom) and child.level == 1:
+                    for a in child.names:
+                        imported[mod, a.asname or a.name] = (child.module, a.name)
+                elif isinstance(child, ast.FunctionDef):
+                    name = f"{cls.name}.{child.name}" if cls else child.name
+                    assert (mod, name) not in funcs, (mod, name)  # one key, one function
+                    funcs[mod, name] = (child, cls)
+                todo.append((child, child if isinstance(child, ast.ClassDef) else None))
+    calls = {}
+    for (mod, name), (fn, cls) in funcs.items():
+        out = calls[mod, name] = set()
+        for call in ast.walk(fn):
+            f = call.func if isinstance(call, ast.Call) else None
+            if isinstance(f, ast.Name):
+                key = (mod, f.id) if (mod, f.id) in funcs else imported.get((mod, f.id))
+            elif (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                  and f.value.id in ("self", "cls") and cls):
+                key = (mod, f"{cls.name}.{f.attr}")
+            else:
+                continue
+            if key in funcs:
+                out.add(key)
+    return calls
+
+
+def test_no_function_reaches_itself_but_the_bounded_ones():
+    calls = _call_graph()
+    assert {("parser", "_term"), ("syntax", "substitute"), ("oracle", "_prove"),
+            ("parser", "_Source.fail")} <= set(calls)
+    assert ("gen", "_inhabit") in calls["gen", "_intro"]  # a same-module edge
+    assert ("syntax", "substitute") in calls["parser", "parse_script"]  # an imported one
+    reaching = set()
+    for start in calls:
+        seen, todo = set(), list(calls[start])
+        while todo:
+            f = todo.pop()
+            if f not in seen:
+                seen.add(f)
+                todo += calls[f]
+        if start in seen:
+            reaching.add(start)
+    assert reaching - RECURSIVE == set(), "recursion outside the list"
+    assert RECURSIVE - reaching == set(), "listed, but no longer recursive"

@@ -10,6 +10,7 @@ import pytest
 import vkp.syntax
 from substitute_reference import substitute as reference_substitute
 from vkp.gen import CTX_SHAPES, GenerationFailed, generate_typed
+from vkp.normalize import normalize_full
 from vkp.parser import print_term
 from vkp.syntax import (
     Abs, App, Atom, CALCULI, Case, Exfalso, FALSUM, Harrop, Impl,
@@ -464,6 +465,25 @@ def test_replace_at_deep(default_recursion_limit):
         assert isinstance(r, App) and r.fun is t.fun
         r, t = r.arg, t.arg
     assert r == Var("z")
+
+
+def test_substitute_deep(default_recursion_limit):
+    # the binder is renamed at the root, the variable replaced at the bottom
+    n = 10_000
+    t = Abs("x1", A, _f_chain(n, App(Var("w"), Var("x1"))))
+    r = substitute(t, "w", Var("x1"))
+    assert print_term(r) == "fun (x11 : A) => " + "f (" * n + "x1 x11" + ")" * n
+
+
+def test_head_chain_normalizes_deep(default_recursion_limit):
+    # (fun x1 ... xn => x1) a ... a, one beta step per binder
+    n = 1000
+    t = Var("x1")
+    for i in reversed(range(1, n + 1)):
+        t = Abs(f"x{i}", A, t)
+    for _ in range(n):
+        t = App(t, Var("a"))
+    assert normalize_full(t, "IPC", {"a": A}) == Var("a")
 
 
 def test_replace_at_shares_what_it_keeps():
