@@ -6,12 +6,15 @@ file, an unknown declaration name, an invalid VKP_BUDGET, a formula that
 does not parse).  VKP_BUDGET overrides the default reduction budget.
 `check` reads its files in argv order and reports once all of them are
 read.  `prove` always decides: it prints a checked proof term or a
-verified countermodel.
+verified countermodel.  `main` may be called many times in one process:
+the argument parser is built on the first call and shared after that,
+and no call leaves state behind for the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -137,11 +140,20 @@ def _cmd_normalize(args) -> int:
         return 1
 
     if args.json:
-        payload: dict = {"normalForm": print_term(nf)}
+        # a step's before is the step ahead's after: print each term once
+        texts: dict[int, str] = {}
+
+        def text(t) -> str:
+            out = texts.get(id(t))
+            if out is None:
+                out = texts[id(t)] = print_term(t)
+            return out
+
+        payload: dict = {"normalForm": text(nf)}
         if args.trace:
             payload["steps"] = [
                 {"path": list(s.path), "rule": s.rule,
-                 "before": print_term(s.before), "after": print_term(s.after)}
+                 "before": text(s.before), "after": text(s.after)}
                 for s in (trace or [])
             ]
         print(json.dumps(payload, indent=2))
@@ -185,6 +197,7 @@ def _cmd_prove(args) -> int:
     return 1
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="vkp",

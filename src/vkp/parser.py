@@ -27,7 +27,9 @@ continuation frames, one per production waiting for a subterm.
 
 The printer emits minimal parentheses and prints X -> False back as ~X;
 parsing a printed term returns the same tree up to bound names.  It walks
-an explicit stack too.
+an explicit stack too.  A formula printed at top level keeps its text
+(the `_text` slot of `vkp.syntax`), so an annotation that many terms
+share is printed once.
 """
 
 from __future__ import annotations
@@ -432,12 +434,18 @@ def parse_script(text: str) -> list[Declaration]:
             if name in defs:
                 raise src.error(f"duplicate definition {name}", i)
             a, j = _formula(src, src.expect(i + 2, ":"))
-            body, j = _term(src, src.expect(j, ":="))
-            # newest first, and only the names this body uses: an inlined
-            # body may name a later definition, which must stay free
-            used = [defs[n] for n in free_vars(body) if n in defs]
-            for prior in sorted(used, key=lambda d: (d.line, d.col), reverse=True):
-                body = substitute(body, prior.name, prior.body)
+            k = src.expect(j, ":=")
+            body, j = _term(src, k)
+            # newest first, and only the names this body leaves free: an
+            # inlined body may name a later definition, or its own, which
+            # must stay free.  A body whose tokens name no definition, as
+            # most do, needs no walk.
+            named = defs.keys() & set(vals[k:j])
+            if named:
+                fv = free_vars(body)
+                used = [defs[n] for n in named if n in fv]
+                for prior in sorted(used, key=lambda d: (d.line, d.col), reverse=True):
+                    body = substitute(body, prior.name, prior.body)
             defs[name] = Declaration(name, a, body, calculus, *src.position(i))
             i = j
         else:
@@ -454,10 +462,34 @@ _INFIX = {Impl: (" -> ", 1, 0, 0), Disj: (" \\/ ", 1, 2, 1), Conj: (" /\\ ", 2, 
 
 
 def print_formula(a: Formula, prec: int = 0) -> str:
+    """a's text in context prec.
+
+    A compound formula keeps its bare text in its `_text` slot the first
+    time it is printed here, so printing it again, in any context, is a
+    lookup.  Its subformulas keep none: a deep formula would hold
+    quadratic text.
+    """
+    cls = type(a)
+    if cls is Atom:
+        return a.name
+    text = getattr(a, "_text", None)
+    if text is None:
+        text = _formula_text(a)
+        _keep_text(a, text)
+    infix = _INFIX.get(cls)
+    if infix is None or prec <= infix[3] or cls is Impl and type(a.right) is Falsum:
+        return text
+    return f"({text})"
+
+
+_keep_text = Formula._text.__set__
+
+
+def _formula_text(a: Formula) -> str:
     # A stack of (formula, context) pairs still to print and of the literal
     # pieces between them, so deep formulas need no recursion.
     out: list[str] = []
-    todo: list = [(a, prec)]
+    todo: list = [(a, 0)]
     while todo:
         item = todo.pop()
         if type(item) is str:

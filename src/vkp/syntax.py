@@ -16,7 +16,9 @@ frozenset, and a variable keeps none.  So `substitute` tells at a lookup
 that a subterm it leaves alone does not mention the variable.  Two more
 hidden slots, `_ty` and `_scope`, hold the type `infer` last gave a
 compound node and the (calculus, context) pair it was typed under (see
-`vkp.typecheck`).  No slot is a dataclass field, so equality, hashing,
+`vkp.typecheck`).  A formula has one hidden slot, `_text`, which keeps
+its bare printed text once `print_formula` has printed it at top level
+(see `vkp.parser`).  No slot is a dataclass field, so equality, hashing,
 repr and the index form do not see them.
 """
 
@@ -32,7 +34,7 @@ from operator import eq
 
 
 class Formula:
-    __slots__ = ()
+    __slots__ = ("_text",)  # the text print_formula kept, see above
 
 
 @dataclass(frozen=True, slots=True)

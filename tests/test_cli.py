@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import vkp.cli
 from vkp.cli import main
 from vkp.kripke import KripkeModel, forces, is_valid_model
 from vkp.parser import parse_formula, parse_term
@@ -213,6 +214,34 @@ def test_prove_non_theorem(capsys):
     assert out.startswith("not provable; countermodel:")
     assert "worlds, root w0" in out
     assert "w0 <= " in out
+
+
+def test_main_keeps_no_state_between_calls(capsys):
+    # one argument parser serves every call in a process; each command
+    # answers the same however many calls and which came before it
+    commands = (
+        ["check", IPC, HARROP, VISSER],
+        ["normalize", HARROP, "hop_applied", "--trace", "--json"],
+        ["extract", HARROP, "hop_applied"],
+        ["prove", "(A -> B) -> ~B -> ~A"],
+        ["prove", "A \\/ ~A"],
+        ["normalize", HARROP],  # a usage error: argparse exits
+        ["check", "no/such/file.vkp"],
+    )
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = ("exit", e.code)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    vkp.cli._parser.cache_clear()
+    first = {i: run(argv) for i, argv in enumerate(commands)}
+    assert [first[i][0] for i in range(len(commands))] == [0, 0, 0, 0, 1, ("exit", 2), 2]
+    for i in reversed(range(len(commands))):
+        assert run(commands[i]) == first[i], commands[i]
 
 
 def test_prove_parse_error(capsys):

@@ -226,6 +226,45 @@ def test_script_inlines_only_earlier_names_the_body_uses(monkeypatch):
     assert calls == 0
 
 
+def test_script_looks_up_definitions_as_the_free_variable_rule_does(monkeypatch):
+    import parser_reference
+    p = Atom("p")
+    scripts = {
+        # a definition's name used only as a later binder is left alone
+        "def a : p -> p := fun (x : p) => x\n"
+        "def b : p -> p := fun (a : p) => a":
+            [Abs("x", p, Var("x")), Abs("a", p, Var("a"))],
+        # the later b that a names stays free in c, past c's binder b
+        "def a : p -> p := b\n"
+        "def b : p -> p := fun (x : p) => x\n"
+        "def c : p -> p := fun (b : p) => a":
+            [Var("b"), Abs("x", p, Var("x")), Abs("b1", p, Var("b"))],
+        # n names itself, so m's body leaves n free; c binds n and uses m,
+        # and the n that m brings in is not inlined again
+        "def n : p := f n\n"
+        "def m : p := n\n"
+        "def c : p -> p := fun (n : p) => m":
+            [App(Var("f"), Var("n")), App(Var("f"), Var("n")),
+             Abs("n1", p, App(Var("f"), Var("n")))],
+    }
+    for text, bodies in scripts.items():
+        assert [d.body for d in parse_script(text)] == bodies, text
+        assert parse_script(text) == parser_reference.parse_script(text), text
+
+    calls = 0
+    free_vars = vkp.parser.free_vars
+
+    def counting(t):
+        nonlocal calls
+        calls += 1
+        return free_vars(t)
+
+    monkeypatch.setattr(vkp.parser, "free_vars", counting)
+    flat = "".join(f"def d{i} : p -> p := fun (x : p) => x\n" for i in range(100))
+    assert len(parse_script(flat)) == 100
+    assert calls == 0
+
+
 def test_script_bad_calculus_rejected():
     with pytest.raises(ParseError):
         parse_script("calculus XX\ndef a : p -> p := fun (x : p) => x")
@@ -272,6 +311,28 @@ def test_print_formula_matches_recursive_printer():
             assert print_formula(a, prec) == _print_formula_recursive(a, prec)
     with pytest.raises(TypeError):
         print_formula(Var("x"))
+
+
+def test_print_formula_keeps_a_text_for_any_context():
+    # a printed formula keeps its bare text; later prints in any context,
+    # in any order, must read as if printed afresh
+    from vkp.gen import _formula, ATOM_NAMES
+    from vkp.syntax import neg
+    rng = random.Random(78)
+    corpus = []
+    for _ in range(500):
+        a = _formula(rng, rng.randint(0, 5), ATOM_NAMES[:3])
+        corpus.append(neg(a) if rng.random() < 0.3 else a)
+    calls = [(a, prec) for a in corpus for prec in range(4)]
+    rng.shuffle(calls)
+    for a, prec in calls:
+        assert print_formula(a, prec) == _print_formula_recursive(a, prec)
+
+    shared = Conj(Atom("p"), Impl(Atom("q"), Atom("r")))
+    t = Abs("x", shared, Inj(1, shared, Pair(Var("x"), Var("x"))))
+    assert print_term(t) == "fun (x : p /\\ (q -> r)) => inj1[p /\\ (q -> r)] (x, x)"
+    assert print_formula(shared, 3) == "(p /\\ (q -> r))"
+    assert print_formula(shared, 2) == "p /\\ (q -> r)"
 
 
 def test_print_formula_deep_implications(default_recursion_limit):
