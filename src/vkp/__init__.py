@@ -18,12 +18,12 @@ from .parser import (
 )
 from .reduction import (
     TraceStep, decompose, is_normal, replay_step, step_anywhere, step_top_named,
-    step_weak_head_named, weak_head_redexes,
+    weak_head_redexes,
 )
 from .normalize import (
     BudgetExceeded, DEFAULT_BUDGET, InternalError, PreconditionViolation,
     eval_v, extract_disjunct, normalize_full, normalize_kp,
-    weak_head_normalize,
+    step_weak_head_named, weak_head_normalize,
 )
 from .kripke import KripkeModel, forces, is_valid_model
 from .oracle import (

@@ -1,27 +1,35 @@
 """Normalization strategies and disjunct extraction.
 
-There is one normalization walk, normalize_full; normalize_kp and eval_v
-check their precondition and run it.  It is an iterative
-leftmost-outermost walk that contracts the first redex in preorder (the
-head spine first, then the children left to right, under binders
-included).  The walk keeps an explicit stack of (parent, child index)
-frames instead of recursing, and neither substitution nor inference
-recurses, so the recursion limit bounds neither the depth of a redex nor
-that of the body it contracts over (a beta redex or a case on an
-injection over a 10,000-deep body normalizes).  These are the frames head
-contexts are made of too, and the one plug, syntax._plug, rebuilds the
-term from them.  A contraction can only turn ancestors reached through
-child-0 links into redexes (a visser or hop fires on the head spine of its
-main premise, child 0), so after one the walk backs up over those frames
-only, with one plug over the popped frames, and carries on; nothing to its
-left is scanned again.  The walk passes the caller's context to every
-contraction unchanged, except where Harrop-efq, the one contraction that
-reads binder types, can fire: there it works them out down to the hop from
-the frames.  A traced walk records each contraction as its rule, a copy of
-the frames and the reduct; the TraceStep plugs its whole terms only when
-they are read, so tracing adds no plug to the walk.  weak_head_normalize
-iterates the KP head step.  Every strategy counts steps against a budget
-and refuses to return a truncated term.
+There is one normalization walk, _walk; normalize_full runs it over every
+child, weak_head_normalize over child 0 of applications, projections,
+cases and hops only (the KP head spine), step_weak_head_named is its first
+contraction there, and normalize_kp and eval_v check their precondition
+and run normalize_full.  The walk is iterative and leftmost-outermost: it
+contracts the first redex in preorder among the children it may enter
+(the head spine first, then the children left to right, under binders
+included).  It keeps an explicit stack of (parent, child index) frames
+instead of recursing, and neither substitution nor inference recurses, so
+the recursion limit bounds neither the depth of a redex nor that of the
+body it contracts over (a beta redex or a case on an injection over a
+10,000-deep body normalizes).  These are the frames head contexts are made
+of too, and the one plug, syntax._plug, rebuilds the term from them.
+
+Everything the walk passed before a contraction stays as it was, and of
+the ancestors only two can have become redexes: the parent, through child
+0, and the nearest visser or hop whose main premise reaches the reduct
+through application, projection and case child-0 links, which reads that
+spine (decompose) and fires on it only if the reduct's own spine ends in
+an exfalso or a variable.  So the walk backs up to that visser or hop when
+the reduct's head is one of those and it exists, else to the parent when
+the reduct is its child 0, with one plug over the popped frames, and
+carries on; nothing to its left is scanned again.  The walk passes the
+caller's context to every contraction unchanged, except where
+Harrop-efq, the one contraction that reads binder types, can fire: there
+it works them out down to the hop from the frames.  A traced run records
+each contraction as its rule, a copy of the frames and the reduct; the
+TraceStep plugs its whole terms only when they are read, so tracing adds
+no plug to the walk.  Every strategy counts steps against a budget and
+refuses to return a truncated term.
 
 eval_v is that walk in V followed by a check that no visser node is left:
 a V normal form is a plain intuitionistic term proving the same formula.
@@ -30,13 +38,15 @@ a V normal form is a plain intuitionistic term proving the same formula.
 from __future__ import annotations
 
 from .syntax import (
-    Disj, Inj, Term, TypingContext, Var, Visser, children, free_vars,
-    _plug, _subterms,
+    App, Case, Disj, Exfalso, Harrop, Inj, Proj, Term, TypingContext, Var,
+    Visser, children, free_vars, _plug, _subterms,
 )
 from .typecheck import TypeCheckError, infer
-from .reduction import TraceStep, step_top_named, step_weak_head_named, _context
+from .reduction import TraceStep, step_top_named, _context
 
 DEFAULT_BUDGET = 10**6
+
+_SPINE = (App, Proj, Case)  # the links a main premise's head spine runs through
 
 
 class PreconditionViolation(Exception):
@@ -56,21 +66,22 @@ class InternalError(Exception):
     """A kernel invariant failed; this is a bug, not a user error."""
 
 
-def normalize_full(
-    t: Term,
-    calculus: str = "IPC",
-    ctx: TypingContext | None = None,
-    budget: int | None = None,
-    trace: list[TraceStep] | None = None,
-) -> Term:
-    """Reduce to a term with no remaining contractions anywhere.
+def _head_child(t: Term) -> tuple[Term, ...]:
+    """The children the KP head strategy enters: child 0 of an
+    application, projection, case or hop."""
+    return children(t)[:1] if isinstance(t, (App, Proj, Case, Harrop)) else ()
 
-    `frames` are the walk's (parent, child index) frames, outermost first;
-    a parent is current in every child but the one the walk is in, which is
-    all a hop's context needs (_context).  Outside KP a hop is refused.
+
+def _walk(t: Term, calculus: str, ctx: TypingContext | None, enter):
+    """Contract leftmost-outermost among the children enter(node) gives.
+
+    Yields (frames, redex, reduct, rule) for each contraction, with the
+    live frames down to the redex, carries on from the reduct, and returns
+    the final term.  `frames` are (parent, child index) pairs, outermost
+    first; a parent is current in every child but the one the walk is in,
+    which is all a hop's context needs (_context).  Outside KP a hop is
+    refused.
     """
-    limit = DEFAULT_BUDGET if budget is None else budget
-    used = 0
     frames: list[tuple[Term, int]] = []
     cur = t
     while True:
@@ -78,26 +89,29 @@ def normalize_full(
         r = None if isinstance(cur, Var) else step_top_named(
             cur, calculus, _context(cur, frames, ctx, calculus))
         if r is not None:
-            if used >= limit:
-                raise BudgetExceeded(_plug(frames, cur), used)
-            used += 1
-            cur, rule = r
-            if trace is not None:
-                # the first step starts from t, whatever the list held before
-                trace.append(TraceStep._recorded(
-                    rule, tuple(frames), cur, t if used == 1 else trace[-1]))
-            # only ancestors reached through child-0 links can have become redexes
-            k = len(frames)
-            while k and frames[k - 1][1] == 0:
-                k -= 1
-            if k < len(frames):
+            reduct, rule = r
+            yield frames, cur, reduct, rule
+            cur = head = reduct
+            k = len(frames) - 1
+            if k >= 0 and frames[k][1] == 0:
+                # the parent can have become a redex, and so can the visser
+                # or hop over its run of spine links if the reduct's own
+                # spine ends in an exfalso or a variable
+                while isinstance(head, _SPINE):
+                    head = children(head)[0]
+                j = k
+                if isinstance(head, (Exfalso, Var)):
+                    while j and frames[j - 1][1] == 0 and isinstance(frames[j][0], _SPINE):
+                        j -= 1
+                if isinstance(frames[j][0], (Visser, Harrop)):
+                    k = j
                 cur = _plug(frames[k:], cur)
                 del frames[k:]
             continue
         # no redex here: enter the first child, or climb to the next sibling
         parent, i = cur, -1
         k = len(frames)
-        while i + 1 == len(children(parent)):
+        while i + 1 == len(enter(parent)):
             if not k:
                 return _plug(frames, cur)
             k -= 1
@@ -110,26 +124,55 @@ def normalize_full(
         cur = children(parent)[i]
 
 
+def _run(walk, t: Term, budget: int | None, trace: list[TraceStep] | None) -> Term:
+    """The final term of a walk from t, its contractions counted against
+    the budget and, when tracing, recorded."""
+    limit = DEFAULT_BUDGET if budget is None else budget
+    used = 0
+    while True:
+        try:
+            frames, redex, reduct, rule = next(walk)
+        except StopIteration as done:
+            return done.value
+        if used >= limit:
+            raise BudgetExceeded(_plug(frames, redex), used)
+        used += 1
+        if trace is not None:
+            # the first step starts from t, whatever the list held before
+            trace.append(TraceStep._recorded(
+                rule, tuple(frames), reduct, t if used == 1 else trace[-1]))
+
+
+def normalize_full(
+    t: Term,
+    calculus: str = "IPC",
+    ctx: TypingContext | None = None,
+    budget: int | None = None,
+    trace: list[TraceStep] | None = None,
+) -> Term:
+    """Reduce to a term with no remaining contractions anywhere."""
+    return _run(_walk(t, calculus, ctx, children), t, budget, trace)
+
+
 def weak_head_normalize(
     t: Term,
     ctx: TypingContext | None = None,
     budget: int | None = None,
     trace: list[TraceStep] | None = None,
 ) -> Term:
-    """Iterate the deterministic KP head step until it sticks."""
-    limit = DEFAULT_BUDGET if budget is None else budget
-    used = 0
-    while True:
-        r = step_weak_head_named(t, ctx)
-        if r is None:
-            return t
-        if used >= limit:
-            raise BudgetExceeded(t, used)
-        used += 1
-        whole, path, rule = r
-        if trace is not None:
-            trace.append(TraceStep(path, rule, t, whole))
-        t = whole
+    """Repeat the deterministic KP head step until it sticks."""
+    return _run(_walk(t, "KP", ctx, _head_child), t, budget, trace)
+
+
+def step_weak_head_named(t: Term, ctx: TypingContext | None = None):
+    """One deterministic head step in KP; (whole reduct, path, rule) or None.
+
+    The first contraction of the head walk: it goes down the unique head
+    spine (application functions, scrutinees, hop main premises) and
+    contracts the outermost firing position.
+    """
+    step = next(_walk(t, "KP", ctx, _head_child), None)
+    return step and (_plug(step[0], step[2]), (0,) * len(step[0]), step[3])
 
 
 def _require_typed(t: Term, ctx: TypingContext, calculus: str):

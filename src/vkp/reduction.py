@@ -1,4 +1,5 @@
-"""Single-step reduction: head decomposition, top rules, position enumeration.
+"""Single-step reduction: head decomposition, top rules, position enumeration,
+the head-spine oracle and traces.
 
 The weak head spine of a term runs through application functions, projection
 and case scrutinees; decompose reads the shape a visser or hop main premise
@@ -7,9 +8,11 @@ whole premise.  When a spine variable is applied to several arguments, the
 first application is the redex reading and the rest stay in the context.
 
 A head context is a tuple of (node, child index) frames, outermost first:
-the zipper frames the normalization walk and replace_at keep as well.  One
-plug, syntax._plug, puts a term back through them; the KP head step walks
-its spine (hop main premises included) into such frames and plugs the reduct.
+the zipper frames the normalization walk, the position search and
+replace_at keep as well.  One plug, syntax._plug, puts a term back through
+them.  The deterministic KP head step is the normalization walk restricted
+to the head spine (normalize.step_weak_head_named); weak_head_redexes tries
+every head-spine position instead, as an oracle for it.
 
 Rebuilt exfalso nodes in the efq contractions are annotated with the first
 disjunct of the main premise's type.  A visser premise sees only its own
@@ -159,16 +162,22 @@ def _context(node: Term, frames, ctx: TypingContext | None, calculus: str):
 
 def _redexes(t: Term, calculus: str, ctx: TypingContext | None):
     """(path, reduct of the subterm there) for every firing position, in
-    preorder, lazily, from an explicit stack of (subterm, path) pairs."""
-    todo = [(t, ())]
-    while todo:
-        sub, path = todo.pop()
-        r = step_top_named(sub, calculus, _context(sub, _frames(t, path), ctx, calculus))
+    preorder, lazily.  The search climbs (parent, child index) frames as the
+    normalization walk does and builds a path only where a contraction fires."""
+    frames: list[tuple[Term, int]] = []
+    cur = t
+    while True:
+        r = step_top_named(cur, calculus, _context(cur, frames, ctx, calculus))
         if r is not None:
-            yield path, r[0]
-        cs = children(sub)
-        for j in range(len(cs) - 1, -1, -1):
-            todo.append((cs[j], path + (j,)))
+            yield tuple(i for _, i in frames), r[0]
+        # enter the first child, or climb to the next sibling
+        parent, i = cur, -1
+        while i + 1 == len(children(parent)):
+            if not frames:
+                return
+            parent, i = frames.pop()
+        frames.append((parent, i + 1))
+        cur = children(parent)[i + 1]
 
 
 def step_anywhere(t: Term, calculus: str = "IPC", ctx: TypingContext | None = None):
@@ -181,25 +190,7 @@ def is_normal(t: Term, calculus: str = "IPC", ctx: TypingContext | None = None) 
     return next(_redexes(t, calculus, ctx), None) is None
 
 
-# ------------------------------------------------------- deterministic step
-
-
-def step_weak_head_named(t: Term, ctx: TypingContext | None = None):
-    """One deterministic head step in KP; (whole reduct, path, rule) or None.
-
-    The search walks the unique head spine (application functions, scrutinees,
-    hop main premises) and contracts the outermost firing position.
-    """
-    frames = []
-    cur = t
-    while True:
-        r = step_top_named(cur, "KP", _context(cur, frames, ctx, "KP"))
-        if r is not None:
-            return _plug(frames, r[0]), (0,) * len(frames), r[1]
-        if not isinstance(cur, (App, Proj, Case, Harrop)):
-            return None
-        frames.append((cur, 0))
-        cur = children(cur)[0]
+# ------------------------------------------------------- head-spine oracle
 
 
 def head_spine_paths(t: Term) -> list[tuple[int, ...]]:
@@ -218,7 +209,8 @@ def weak_head_redexes(t: Term, ctx: TypingContext | None = None):
     """Exhaustive search over head-spine positions for firing contractions.
 
     Returns (path, whole reduct, rule) triples; determinism of the head step
-    says there is at most one, and tests hold this against step_weak_head_named.
+    says there is at most one, and tests hold this against
+    normalize.step_weak_head_named.
     """
     out = []
     for path in head_spine_paths(t):

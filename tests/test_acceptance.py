@@ -9,7 +9,9 @@ import time
 
 from vkp.gen import GenerationFailed, generate_typed
 from vkp.kripke import forces, is_valid_model
-from vkp.normalize import eval_v, extract_disjunct, normalize_full, normalize_kp
+from vkp.normalize import (
+    eval_v, extract_disjunct, normalize_full, normalize_kp, step_weak_head_named,
+)
 from vkp.oracle import (
     ClassificationFailure, NotProvable, Provable, classify, ipc_provable,
 )
@@ -17,7 +19,7 @@ from vkp.parser import (
     parse_formula, parse_script, parse_term, print_formula, print_term,
 )
 from vkp.reduction import (
-    replay_step, step_anywhere, step_weak_head_named, weak_head_redexes,
+    replay_step, step_anywhere, weak_head_redexes,
 )
 from vkp.syntax import (
     Atom, Conj, Disj, Falsum, Impl, Visser, alpha_eq, children, nameless, neg,

@@ -13,12 +13,12 @@ from vkp.gen import (
 )
 from vkp.normalize import (
     BudgetExceeded, PreconditionViolation, eval_v, extract_disjunct,
-    normalize_full, normalize_kp, weak_head_normalize,
+    normalize_full, normalize_kp, step_weak_head_named, weak_head_normalize,
 )
 from vkp.parser import parse_formula, parse_term
 from vkp.reduction import (
     TraceStep, is_normal, replay_step, step_anywhere, step_top_named,
-    step_weak_head_named, weak_head_redexes,
+    weak_head_redexes,
 )
 from vkp.syntax import (
     Abs, App, Atom, Case, Conj, Disj, Exfalso, FALSUM, Harrop, Impl, Inj,
@@ -588,3 +588,108 @@ def test_recorded_step_is_a_trace_step():
                 assert (path, rule, before, after) == _values(direct)
     assert repr(trace[0]).startswith("TraceStep(path=(), rule='Beta', before=App(")
     assert trace[0] != TraceStep((), "Beta", t, t) and trace[0] != _values(trace[0])
+
+
+# A visser or hop fires only once a contraction further down its main
+# premise's spine leaves an exfalso or a variable at the head: the walk has
+# to back up past the parent to it.  Each term here is typed, and the
+# contraction that lets it fire sits two frames below it.
+
+P, Q, R = Atom("P"), Atom("Q"), Atom("R")
+LATE_CTX = {"a": A, "n": FALSUM}
+LATE_FIRING = {
+    # proj1 ((fun u => exfalso n) a): Beta, then Harrop-efq on the exfalso head
+    "Harrop-efq": ("KP", parse_term(
+        "hop (x : ~C). proj1 ((fun (u : A) => exfalso[(P \\/ Q) /\\ R] n) a) of"
+        " { y => inj1[~C -> Q] y | y => inj2[~C -> P] y }")),
+    # the same spine in a visser main premise, over its own binder x1
+    "Visser-efq": ("V", parse_term(
+        "visser (x1 : (C -> C) -> False)."
+        " proj1 ((fun (u : C -> C) => exfalso[(P \\/ Q) /\\ R] (x1 u)) (fun (c : C) => c)) of"
+        " { y => y | y => fun (w : (C -> C) -> False) => exfalso[P] (w (fun (c : C) => c))"
+        " | z => fun (w : (C -> C) -> False) => exfalso[P] (w (z w)) }")),
+    # (fun g => g) x1 (fun c => c): Beta, then Visser-app on the variable head x1
+    "Visser-app": ("V", parse_term(
+        "visser (x1 : (C -> C) -> P \\/ Q)."
+        " (fun (g : (C -> C) -> P \\/ Q) => g) x1 (fun (c : C) => c) of"
+        " { y => fun (w : (C -> C) -> P \\/ Q) => fun (c : C) => c"
+        " | y => fun (w : (C -> C) -> P \\/ Q) => fun (c : C) => c | z => z }")),
+}
+
+
+@pytest.mark.parametrize("rule", list(LATE_FIRING))
+def test_visser_or_hop_fires_after_a_contraction_down_its_spine(rule):
+    calc, t = LATE_FIRING[rule]
+    a = infer(LATE_CTX, t, calc)
+    # alone, and under an outer beta, which fires first
+    for u in (t, App(Abs("k", a, Var("k")), t)):
+        trace = []
+        nf = normalize_full(u, calc, LATE_CTX, trace=trace)
+        assert rule in [s.rule for s in trace]
+        for s in trace:
+            assert step_anywhere(s.before, calc, LATE_CTX)[0] == (s.path, s.after)
+        assert step_anywhere(nf, calc, LATE_CTX) == []
+        assert infer(LATE_CTX, nf, calc) == a
+        if calc != "KP":
+            continue  # the head strategy is KP's
+        trace = []
+        whnf = weak_head_normalize(u, LATE_CTX, trace=trace)
+        assert rule in [s.rule for s in trace]
+        for s in trace:
+            assert weak_head_redexes(s.before, LATE_CTX)[0] == (s.path, s.after, s.rule)
+        assert weak_head_redexes(whnf, LATE_CTX) == []
+
+
+def _head_chain(n, a):
+    """(fun (x1 : a) ... (xn : a) => x1) v ... v, one beta step per binder."""
+    t = Var("x1")
+    for i in reversed(range(1, n + 1)):
+        t = Abs(f"x{i}", a, t)
+    for _ in range(n):
+        t = App(t, Var("v"))
+    return t
+
+
+def _hop_over(t):
+    """hop (x : ~C). t of { y => y | y => y }: from t proving A \\/ A, a
+    proof of ~C -> A."""
+    return Harrop("x", neg(C), t, "y", Var("y"), Var("y"))
+
+
+HEAD_CHAIN_CTX = {"v": Disj(A, A)}
+
+
+def test_head_chain_is_linear_through_both_strategies(default_recursion_limit, monkeypatch):
+    # after each beta only the parent can fire, and the hop only at the
+    # end, when the head of its main premise is the variable v
+    calls = 0
+    contract = vkp.normalize.step_top_named
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return contract(*args)
+
+    monkeypatch.setattr(vkp.normalize, "step_top_named", counting)
+    n = 2000
+    chain = _head_chain(n, Disj(A, A))
+    for calc, t, nf in (("IPC", chain, Var("v")), ("KP", _hop_over(chain), _hop_over(Var("v")))):
+        for run in (lambda: normalize_full(t, calc, HEAD_CHAIN_CTX),
+                    lambda: weak_head_normalize(t, HEAD_CHAIN_CTX)):
+            calls = 0
+            assert run() == nf
+            assert calls <= 3 * n
+
+
+def test_weak_head_budget_stops_after_k_head_steps():
+    t = _hop_over(_head_chain(60, Disj(A, A)))
+    assert infer(HEAD_CHAIN_CTX, t, "KP") == Impl(neg(C), A)
+    k = 25
+    want = t
+    for _ in range(k):
+        want = step_weak_head_named(want, HEAD_CHAIN_CTX)[0]
+    with pytest.raises(BudgetExceeded) as e:
+        weak_head_normalize(t, HEAD_CHAIN_CTX, budget=k)
+    assert e.value.steps == k
+    assert e.value.last == want
+    assert weak_head_normalize(t, HEAD_CHAIN_CTX, budget=60) == _hop_over(Var("v"))

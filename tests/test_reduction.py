@@ -9,10 +9,9 @@ from vkp.gen import CTX_SHAPES, GenerationFailed, generate_typed
 from vkp.parser import parse_term
 from vkp.reduction import (
     ExfalsoHead, InjectionHead, VarAppHead, decompose, is_normal,
-    replay_step, step_anywhere, step_top_named, step_weak_head_named,
-    weak_head_redexes,
+    replay_step, step_anywhere, step_top_named, weak_head_redexes,
 )
-from vkp.normalize import TraceStep
+from vkp.normalize import TraceStep, step_weak_head_named
 from vkp.syntax import (
     Abs, App, Atom, Case, Conj, Exfalso, FALSUM, Harrop, Impl, Inj, Pair,
     Proj, Var, Visser, CALCULI, alpha_eq, children, neg, _plug,
