@@ -22,10 +22,10 @@ spine (decompose) and fires on it only if the reduct's own spine ends in
 an exfalso or a variable.  So the walk backs up to that visser or hop when
 the reduct's head is one of those and it exists, else to the parent when
 the reduct is its child 0, with one plug over the popped frames, and
-carries on; nothing to its left is scanned again.  The walk passes the
-caller's context to every contraction unchanged, except where
-Harrop-efq, the one contraction that reads binder types, can fire: there
-it works them out down to the hop from the frames.  A traced run records
+carries on; nothing to its left is scanned again.  The walk hands every
+contraction the caller's context and its live frames; only Harrop-efq,
+the one contraction that reads binder types, works them out from the two,
+down to the hop.  A traced run records
 each contraction as its rule, a copy of the frames and the reduct; the
 TraceStep plugs its whole terms only when they are read, so tracing adds
 no plug to the walk.  Every strategy counts steps against a budget and
@@ -42,7 +42,7 @@ from .syntax import (
     Visser, children, free_vars, _plug, _subterms,
 )
 from .typecheck import TypeCheckError, infer
-from .reduction import TraceStep, step_top_named, _context
+from .reduction import TraceStep, step_top_named
 
 DEFAULT_BUDGET = 10**6
 
@@ -78,16 +78,16 @@ def _walk(t: Term, calculus: str, ctx: TypingContext | None, enter):
     Yields (frames, redex, reduct, rule) for each contraction, with the
     live frames down to the redex, carries on from the reduct, and returns
     the final term.  `frames` are (parent, child index) pairs, outermost
-    first; a parent is current in every child but the one the walk is in,
-    which is all a hop's context needs (_context).  Outside KP a hop is
+    first, and step_top_named gets them with ctx, the context of t; a
+    parent is current in every child but the one the walk is in, which is
+    all a hop's context needs (reduction._context).  Outside KP a hop is
     refused.
     """
     frames: list[tuple[Term, int]] = []
     cur = t
     while True:
         # a variable is never a redex
-        r = None if isinstance(cur, Var) else step_top_named(
-            cur, calculus, _context(cur, frames, ctx, calculus))
+        r = None if isinstance(cur, Var) else step_top_named(cur, calculus, ctx, frames)
         if r is not None:
             reduct, rule = r
             yield frames, cur, reduct, rule

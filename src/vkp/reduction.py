@@ -11,15 +11,17 @@ A head context is a tuple of (node, child index) frames, outermost first:
 the zipper frames the normalization walk, the position search and
 replace_at keep as well.  One plug, syntax._plug, puts a term back through
 them.  The deterministic KP head step is the normalization walk restricted
-to the head spine (normalize.step_weak_head_named); weak_head_redexes tries
-every head-spine position instead, as an oracle for it.
+to the head spine (normalize.step_weak_head_named); weak_head_redexes runs
+the position search over every head-spine position instead, as an oracle
+for it.
 
 Rebuilt exfalso nodes in the efq contractions are annotated with the first
 disjunct of the main premise's type.  A visser premise sees only its own
 binders, so Harrop-efq is the one contraction that reads the ambient typing
-context.  The step functions take the caller's root context and work out the
-binder types down to a node (_context, over its frames, by the type
-checker's child-context rule) only at such a hop.
+context.  step_top_named takes the position of the term it contracts: the
+context of the term its frames start from, and those frames.  Only
+Harrop-efq works out the binder types down to the hop from them (_context,
+by the type checker's child-context rule); nothing else builds a context.
 """
 
 from __future__ import annotations
@@ -86,8 +88,15 @@ def _lams(binders, body: Term) -> Term:
     return body
 
 
-def step_top_named(t: Term, calculus: str = "IPC", ctx: TypingContext | None = None):
-    """Apply one top-level contraction; (reduct, rule name) or None."""
+def step_top_named(t: Term, calculus: str = "IPC", ctx: TypingContext | None = None,
+                   frames=()):
+    """Apply one top-level contraction; (reduct, rule name) or None.
+
+    t sits below `frames`, the (parent, child index) pairs, outermost
+    first, of a term whose context is ctx; with no frames, ctx is t's own.
+    Only Harrop-efq reads binder types, so only it works out t's context
+    from the two (_context).
+    """
     ctx = ctx if ctx is not None else {}
     match t:
         case App(Abs(x, _, b), a):
@@ -123,7 +132,7 @@ def step_top_named(t: Term, calculus: str = "IPC", ctx: TypingContext | None = N
                     arg = Abs(x, ann, p)
                     return substitute(b1 if i == 1 else b2, y, arg), "Harrop-inj"
                 case ExfalsoHead(_, p):
-                    ty = infer(_child_context(t, 0, ctx), m, calculus)
+                    ty = infer(_child_context(t, 0, _context(frames, ctx, calculus)), m, calculus)
                     arg = Abs(x, ann, Exfalso(ty.left, p))
                     return substitute(b1, y, arg), "Harrop-efq"
             return None
@@ -133,22 +142,14 @@ def step_top_named(t: Term, calculus: str = "IPC", ctx: TypingContext | None = N
 # ------------------------------------------------- contexts under subterms
 
 
-def _context(node: Term, frames, ctx: TypingContext | None, calculus: str):
-    """The context step_top_named needs at node, which sits below the
-    (parent, child index) frames, outermost first, of a term whose context
-    is ctx.  Only Harrop-efq reads it, so this is ctx itself anywhere but at
-    a KP hop whose main premise has an exfalso head; a hop that does not
-    fire, or fires on an injection, builds nothing (the KP head step passes
-    every hop of its spine).
+def _context(frames, ctx: TypingContext, calculus: str):
+    """The context of the node below the (parent, child index) frames,
+    outermost first, of a term whose context is ctx.
 
     Each frame's context comes from the checker's own rule, _child_context.
     A frame's parent need only be current off the frame's path: the rule
     reads only its binders and, below a branch, its premise (child 0).
     """
-    if (calculus != "KP" or not isinstance(node, Harrop)
-            or not isinstance(decompose(node.main), ExfalsoHead)):
-        return ctx
-    ctx = ctx or {}
     for parent, i in frames:
         premise = None
         if i in (1, 2) and isinstance(parent, (Case, Harrop, Visser)):
@@ -160,29 +161,30 @@ def _context(node: Term, frames, ctx: TypingContext | None, calculus: str):
 # ----------------------------------------------------- position enumeration
 
 
-def _redexes(t: Term, calculus: str, ctx: TypingContext | None):
-    """(path, reduct of the subterm there) for every firing position, in
-    preorder, lazily.  The search climbs (parent, child index) frames as the
-    normalization walk does and builds a path only where a contraction fires."""
+def _redexes(t: Term, calculus: str, ctx: TypingContext | None, enter=children):
+    """(path, reduct of the subterm there, rule) for every firing position
+    among the children enter(node) gives, in preorder, lazily.  The search
+    climbs (parent, child index) frames as the normalization walk does and
+    builds a path only where a contraction fires."""
     frames: list[tuple[Term, int]] = []
     cur = t
     while True:
-        r = step_top_named(cur, calculus, _context(cur, frames, ctx, calculus))
+        r = step_top_named(cur, calculus, ctx, frames)
         if r is not None:
-            yield tuple(i for _, i in frames), r[0]
+            yield tuple(i for _, i in frames), r[0], r[1]
         # enter the first child, or climb to the next sibling
         parent, i = cur, -1
-        while i + 1 == len(children(parent)):
+        while i + 1 == len(enter(parent)):
             if not frames:
                 return
             parent, i = frames.pop()
         frames.append((parent, i + 1))
-        cur = children(parent)[i + 1]
+        cur = enter(parent)[i + 1]
 
 
 def step_anywhere(t: Term, calculus: str = "IPC", ctx: TypingContext | None = None):
     """All one-step reducts: (path, whole reduct) per firing position, preorder."""
-    return [(path, replace_at(t, path, r)) for path, r in _redexes(t, calculus, ctx)]
+    return [(path, replace_at(t, path, r)) for path, r, _ in _redexes(t, calculus, ctx)]
 
 
 def is_normal(t: Term, calculus: str = "IPC", ctx: TypingContext | None = None) -> bool:
@@ -193,16 +195,10 @@ def is_normal(t: Term, calculus: str = "IPC", ctx: TypingContext | None = None) 
 # ------------------------------------------------------- head-spine oracle
 
 
-def head_spine_paths(t: Term) -> list[tuple[int, ...]]:
-    """Every head-spine position of t, outermost first."""
-    paths = [()]
-    cur = t
-    path: tuple[int, ...] = ()
-    while isinstance(cur, (App, Proj, Case, Harrop)):
-        path = path + (0,)
-        paths.append(path)
-        cur = children(cur)[0]
-    return paths
+def _spine(t: Term) -> tuple[Term, ...]:
+    """The oracle's own statement of the head spine: child 0 of an
+    application, projection, case or hop."""
+    return children(t)[:1] if isinstance(t, (App, Proj, Case, Harrop)) else ()
 
 
 def weak_head_redexes(t: Term, ctx: TypingContext | None = None):
@@ -212,13 +208,8 @@ def weak_head_redexes(t: Term, ctx: TypingContext | None = None):
     says there is at most one, and tests hold this against
     normalize.step_weak_head_named.
     """
-    out = []
-    for path in head_spine_paths(t):
-        focus = subterm_at(t, path)
-        r = step_top_named(focus, "KP", _context(focus, _frames(t, path), ctx, "KP"))
-        if r is not None:
-            out.append((path, replace_at(t, path, r[0]), r[1]))
-    return out
+    return [(path, replace_at(t, path, r), rule)
+            for path, r, rule in _redexes(t, "KP", ctx, _spine)]
 
 
 # ------------------------------------------------------------------- traces
@@ -298,7 +289,7 @@ def replay_step(step: TraceStep, calculus: str, ctx: TypingContext | None = None
     try:
         frames = list(_frames(step.before, step.path))
         focus = subterm_at(step.before, step.path)
-        r = step_top_named(focus, calculus, _context(focus, frames, ctx, calculus))
+        r = step_top_named(focus, calculus, ctx, frames)
     except (IndexError, TypeCheckError):  # path off the term, or wrong calculus
         return False
     if r is None or r[1] != step.rule:

@@ -258,3 +258,33 @@ def test_check_and_normalize_a_deep_script(tmp_path, default_recursion_limit):
         got = json.loads(out)
         assert got["normalForm"] == body, name
         assert [s["rule"] for s in got["steps"]] == rules, name
+
+
+def test_extract_and_other_strategies_on_a_deep_script(tmp_path, default_recursion_limit):
+    # extract, the KP head strategy and evalV each reach a body nesting
+    # applications N deep through one contraction or more, and print it
+    deep = "f (" * (N - 1) + "f {}" + ")" * (N - 1)
+    ty = "(p -> p) -> p -> p"
+    body = "fun (f : p -> p) => fun (x : p) => " + deep.format("x")
+    scripts = {
+        # a beta redex over the deep body, then one for each of its N applications
+        "extract": ("KP", "ex : (p -> p) \\/ q",
+                    f"inj1[q] (({body}) (fun (z : p) => z))",
+                    ["extract"], "Left: fun (x : p) => x"),
+        # Harrop-inj at the root; the deep body is its payload
+        "weakhead": ("KP", f"h : ~b -> {ty}",
+                     f"hop (y : ~b). inj1[{ty}] ({body}) of {{ w => w | w => w }}",
+                     ["normalize", "--strategy", "weakhead"], f"fun (y : ~b) => {body}"),
+        # Visser-inj, then the two betas of y f at the foot of the deep body
+        "evalV": ("V", f"v : {ty}",
+                  f"visser (x1 : p -> p). inj1[q] x1 of {{ y => fun (f : p -> p) => "
+                  f"fun (x : p) => {deep.format('(y f x)')} | y => fun (f : p -> p) => "
+                  f"fun (x : p) => x | z => fun (f : p -> p) => fun (x : p) => z f }}",
+                  ["normalize", "--strategy", "evalV"],
+                  "fun (f : p -> p) => fun (x : p) => " + deep.format("(f x)")),
+    }
+    for name, (calc, decl, text, argv, want) in scripts.items():
+        path = tmp_path / f"{name}.vkp"
+        path.write_text(f"calculus {calc}\ndef {decl} := {text}\n")
+        argv = argv[:1] + [str(path), decl.split()[0]] + argv[1:]
+        assert _run(argv) == (0, want + "\n", ""), name

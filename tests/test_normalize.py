@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 import vkp.normalize
+import vkp.reduction
 import vkp.syntax
 
 from vkp.gen import (
@@ -318,6 +319,32 @@ def test_deep_hop_chain(default_recursion_limit):
     assert _is_f_iterated(nf, 600)
     assert len(trace) == 600
     assert {s.rule for s in trace} == {"Harrop-inj"}
+
+
+def test_hop_chains_fold_a_context_only_for_harrop_efq(default_recursion_limit, monkeypatch):
+    # each hop's main premise is decomposed once, and binder types are
+    # worked out from the frames only where Harrop-efq fires
+    calls = Counter()
+    for name in ("_context", "decompose"):
+        real = getattr(vkp.reduction, name)
+
+        def counting(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(vkp.reduction, name, counting)
+    n = 400
+    t = _chain(n, lambda e: Harrop("x", neg(B), Inj(1, A, Var("y")), "w", e, Var("y")))
+    assert _is_f_iterated(normalize_full(t, "KP", CHAIN_CTX), n)
+    assert calls == {"decompose": n}
+    calls.clear()
+    efq = Exfalso(Disj(A, A), App(Var("nb"), Var("b")))
+    t = _chain(n, lambda e: Harrop("x", neg(B), efq, "w", e, e))
+    trace = []
+    nf = normalize_full(t, "KP", {**CHAIN_CTX, "nb": neg(B), "b": B}, trace=trace)
+    assert _is_f_iterated(nf, n)
+    assert [s.rule for s in trace] == ["Harrop-efq"] * n
+    assert calls == {"decompose": n, "_context": n}
 
 
 def test_no_binder_types_after_last_hop():

@@ -1,9 +1,12 @@
 """Decomposition, the single-step rules, positions, and the head strategy."""
 
 import random
+from collections import Counter
 
 import pytest
 
+import vkp.reduction
+import vkp.syntax
 from context_reference import child_context as reference_child_context
 from vkp.gen import CTX_SHAPES, GenerationFailed, generate_typed
 from vkp.parser import parse_term
@@ -13,10 +16,11 @@ from vkp.reduction import (
 )
 from vkp.normalize import TraceStep, step_weak_head_named
 from vkp.syntax import (
-    Abs, App, Atom, Case, Conj, Exfalso, FALSUM, Harrop, Impl, Inj, Pair,
-    Proj, Var, Visser, CALCULI, alpha_eq, children, neg, _plug,
+    Abs, App, Atom, Case, Conj, Disj, Exfalso, FALSUM, Harrop, Impl, Inj,
+    Pair, Proj, Var, Visser, CALCULI, alpha_eq, children, neg, subterm_at,
+    _plug,
 )
-from vkp.typecheck import CalculusViolation, _child_context, infer
+from vkp.typecheck import CalculusViolation, UnknownVariable, _child_context, infer
 
 A = Atom("A")
 B = Atom("B")
@@ -334,6 +338,51 @@ def test_weak_head_oracle_agreement_small():
             assert alpha_eq(owhole, whole)
 
 
+def test_weak_head_oracle_is_one_descent(default_recursion_limit, monkeypatch):
+    # the oracle tries each head-spine position once and plugs the whole
+    # reduct only where a contraction fires; no path is walked from the
+    # root again but that plug's
+    calls = Counter()
+    for name in ("step_top_named", "replace_at"):
+        real = getattr(vkp.reduction, name)
+
+        def counting(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(vkp.reduction, name, counting)
+    real_frames = vkp.syntax._frames
+
+    def frames_counting(t, path):
+        for frame in real_frames(t, path):
+            calls["frame"] += 1
+            yield frame
+
+    for module in (vkp.syntax, vkp.reduction):
+        monkeypatch.setattr(module, "_frames", frames_counting)
+    n = 4000
+    t = Var("x")
+    for _ in range(n):
+        t = App(t, Var("a"))
+    assert weak_head_redexes(t) == []
+    assert calls["step_top_named"] <= n + 2
+    assert calls["replace_at"] == calls["frame"] == 0
+    # a hop over (fun x1 ... xn => x1) a ... a: the one redex is the beta
+    # at the foot of the spine
+    head = Var("x1")
+    for i in reversed(range(1, n + 1)):
+        head = Abs(f"x{i}", Disj(A, A), head)
+    for _ in range(n):
+        head = App(head, Var("a"))
+    calls.clear()
+    hop = Harrop("x", neg(B), head, "y", Var("y"), Var("y"))
+    [(path, whole, rule)] = weak_head_redexes(hop, {"a": Disj(A, A)})
+    assert calls["step_top_named"] <= n + 2
+    assert calls["replace_at"] == 1 and calls["frame"] == n
+    assert (path, rule) == ((0,) * n, "Beta")
+    assert subterm_at(whole, path).binder == "x2"
+
+
 def test_replay_step():
     t = App(Abs("x", A, Var("x")), Var("a"))
     good = TraceStep((), "Beta", t, Var("a"))
@@ -391,3 +440,84 @@ def test_child_context_is_the_reducers_old_rule():
                             todo.append((c, want))
                             positions += 1
     assert positions > 100_000, positions
+
+
+# ------------------------------------------- contexts from frames
+
+
+def _positions(t, ctx, calc):
+    """(subterm, frames down to it, its context) for every position of t,
+    the context folded down the path by the reference rule."""
+    todo = [(t, (), ctx)]
+    while todo:
+        node, frames, cx = todo.pop()
+        yield node, frames, cx
+        for i, c in enumerate(children(node)):
+            todo.append((c, frames + ((node, i),), reference_child_context(node, i, cx, calc)))
+
+
+def _same_step(got, want) -> bool:
+    """The same rule and alpha-equal reducts, or neither fires."""
+    if got is None or want is None:
+        return got is want
+    return got[1] == want[1] and alpha_eq(got[0], want[0])
+
+
+def test_step_top_named_reads_the_context_from_its_frames():
+    # a position named by the root context and the frames down to it steps
+    # as it does under the context folded down to it
+    fired = Counter()
+    for shape in ("any", "negated"):
+        for depth in (5, 6):
+            for seed in range(200):
+                try:
+                    ctx, t, _ = generate_typed("KP", max_depth=depth, atom_count=3,
+                                               seed=seed, ctx_shape=shape)
+                except GenerationFailed:
+                    continue
+                for sub, frames, cx in _positions(t, ctx, "KP"):
+                    want = step_top_named(sub, "KP", cx)
+                    assert _same_step(step_top_named(sub, "KP", ctx, frames), want), \
+                        (shape, depth, seed, [i for _, i in frames])
+                    if want and frames:
+                        fired[want[1]] += 1
+    assert fired["Harrop-efq"] > 100, fired
+
+
+def _split_hop(x, main, left, right):
+    """hop (x : ~B). main of { w => inj1 w | w => inj2 w }: from a main
+    premise of left \\/ right, a proof of (~B -> left) \\/ (~B -> right)."""
+    nl, nr = Impl(neg(B), left), Impl(neg(B), right)
+    return Harrop(x, neg(B), main, "w", Inj(1, nr, Var("w")), Inj(2, nl, Var("w")))
+
+
+def _efq_hop(payload):
+    """A Harrop-efq redex whose exfalso payload is the given proof of falsum."""
+    return _split_hop("x", Exfalso(Disj(A, C), payload), A, C)
+
+
+def test_harrop_efq_reads_each_binder_kind_from_its_frames():
+    # an exfalso hop whose payload needs the binder of an abstraction, a
+    # case branch, a hop's main premise or a hop's branch
+    ctx = {"a": A, "b": B, "d": Disj(A, A), "na": neg(A), "nb": neg(B), "nc": neg(C)}
+    left, right = Impl(neg(B), A), Impl(neg(B), C)
+    terms = {
+        "abstraction": Abs("u", FALSUM, _efq_hop(Var("u"))),
+        "case branch": Case(Var("d"), "z", _efq_hop(App(Var("na"), Var("z"))),
+                            _efq_hop(App(Var("na"), Var("z")))),
+        "hop main premise": _split_hop("x1", _efq_hop(App(Var("x1"), Var("b"))), left, right),
+        "hop branch": Harrop("x1", neg(B), Inj(1, C, Var("a")), "y",
+                             _efq_hop(App(Var("na"), App(Var("y"), Var("nb")))),
+                             _efq_hop(App(Var("nc"), App(Var("y"), Var("nb"))))),
+    }
+    for name, t in terms.items():
+        infer(ctx, t, "KP")
+        efq = 0
+        for sub, frames, cx in _positions(t, ctx, "KP"):
+            want = step_top_named(sub, "KP", cx)
+            assert _same_step(step_top_named(sub, "KP", ctx, frames), want), name
+            if want and want[1] == "Harrop-efq":
+                efq += 1
+                with pytest.raises(UnknownVariable):  # the binder is not in ctx
+                    step_top_named(sub, "KP", ctx)
+        assert efq == (2 if name in ("case branch", "hop branch") else 1), name
