@@ -1,5 +1,10 @@
-"""A bounded brute-force countermodel search, the reference the prover's
-tests are held against.
+"""The references vkp.kripke is held against: the set-based model check
+and tree numbering, and a bounded brute-force countermodel search for the
+prover.
+
+is_valid_model and tree_model are vkp.kripke's versions from before it
+worked on bit masks, kept verbatim: the model check on a dict of up-sets,
+the numbering with a generator per node.
 
 find_countermodel enumerates rooted partial orders by size, so a numbered
 world only ever sits above lower-numbered ones; every rooted poset shows up
@@ -67,3 +72,52 @@ def find_countermodel(a: Formula, max_worlds: int = 6) -> KripkeModel | None:
                 if not forces(model, 0, a):
                     return model
     return None
+
+
+def is_valid_model(model: KripkeModel) -> bool:
+    """Rooted partial order with up-closed valuations.
+
+    Each world's up-set is indexed once, so every check costs at most
+    worlds x pairs set operations.
+    """
+    n = model.size
+    if n < 1:  # no world 0, so no root
+        return False
+    up: dict[int, set[int]] = {w: set() for w in range(n)}
+    for u, v in model.order:
+        if not (0 <= u < n and 0 <= v < n):
+            return False
+        up[u].add(v)
+    if any(w not in up[w] for w in range(n)):
+        return False
+    for u, v in model.order:
+        if u != v and u in up[v]:
+            return False
+        if not up[v] <= up[u]:
+            return False
+    if len(up.get(0, ())) < n:
+        return False
+    for ws in model.valuation.values():
+        if any(w not in up or not up[w] <= ws for w in ws):
+            return False
+    return True
+
+
+def tree_model(tree: tuple, atoms: list[str]) -> KripkeModel:
+    """The model of a tree whose nodes are (atoms forced, trees above),
+    numbered in preorder, each below its descendants; the valuation names
+    `atoms`, in order.  A node that occurs twice becomes two worlds."""
+    order: set[tuple[int, int]] = set()
+    valuation: dict[str, list[int]] = {p: [] for p in atoms}
+    stack, n = [(tree, ())], 0
+    while stack:
+        (forced, above), below = stack.pop()
+        below += (n,)
+        order.update((u, n) for u in below)
+        for p in forced:
+            valuation[p].append(n)
+        stack.extend((t, below) for t in reversed(above))
+        n += 1
+    return KripkeModel(
+        n, frozenset(order), {p: frozenset(ws) for p, ws in valuation.items()}
+    )

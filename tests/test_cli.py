@@ -216,6 +216,15 @@ def test_prove_non_theorem(capsys):
     assert "w0 <= " in out
 
 
+def test_prove_one_world_countermodel(capsys):
+    assert main(["prove", "False"]) == 1
+    assert capsys.readouterr().out == (
+        "not provable; countermodel:\n1 world, root w0\n  w0 <= (none)\n")
+    assert main(["prove", "((p))"]) == 1
+    assert capsys.readouterr().out == (
+        "not provable; countermodel:\n1 world, root w0\n  w0 <= (none)\n  p: {}\n")
+
+
 def test_main_keeps_no_state_between_calls(capsys):
     # one argument parser serves every call in a process; each command
     # answers the same however many calls and which came before it

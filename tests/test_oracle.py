@@ -10,7 +10,7 @@ import pytest
 import vkp.oracle
 
 from vkp.gen import GenerationFailed, generate_typed
-from vkp.kripke import KripkeModel, atoms_of, forces, is_valid_model
+from vkp.kripke import KripkeModel, atoms_of, forces, is_valid_model, tree_model
 from vkp.normalize import (
     InternalError, PreconditionViolation, eval_v, normalize_kp,
 )
@@ -22,7 +22,10 @@ from vkp.syntax import (
 )
 from vkp.typecheck import check, checks, infer
 
-from kripke_reference import find_countermodel
+from kripke_reference import (
+    find_countermodel, is_valid_model as reference_is_valid_model,
+    tree_model as reference_tree_model,
+)
 from prove_reference import (
     atoms_of as reference_atoms_of, forces as reference_forces, old_ipc_provable,
 )
@@ -380,6 +383,50 @@ def test_forces_answers_as_the_recursive_one_on_any_model():
         m = KripkeModel(rng.randint(0, 4), order, val)
         a, w = _random_formula(rng, rng.randint(0, 6), "pq"), rng.choice(worlds)
         assert forces(m, w, a) == reference_forces(m, w, a), (m, w, a)
+
+
+def _altered(rng, m):
+    """m with one pair of its order dropped or added, or one world moved
+    into or out of one atom's valuation."""
+    order, val = set(m.order), dict(m.valuation)
+    worlds = range(-1, m.size + 1)
+    kind = rng.randrange(3)
+    if kind == 0 and order:
+        order.remove(rng.choice(sorted(order)))
+    elif kind == 1 or not val:
+        order.add((rng.choice(worlds), rng.choice(worlds)))
+    else:
+        p = rng.choice(sorted(val))
+        val[p] = val[p] ^ {rng.choice(worlds)}
+    return KripkeModel(m.size, frozenset(order), val)
+
+
+def test_model_check_and_numbering_answer_as_the_set_based_ones():
+    # tests/kripke_reference.py holds the model check on a dict of up-sets
+    # and the numbering with a generator per node; the mask versions must
+    # give the same verdicts and the same models
+    rng = random.Random(1995)
+    worlds = range(-2, 6)
+    for _ in range(3000):  # mostly invalid: pairs and worlds outside the model
+        order = frozenset((rng.choice(worlds), rng.choice(worlds))
+                          for _ in range(rng.randint(0, 10)))
+        val = {p: frozenset(rng.sample(worlds, rng.randint(0, 4))) for p in "pq"}
+        m = KripkeModel(rng.randint(0, 4), order, val)
+        assert is_valid_model(m) == reference_is_valid_model(m), m
+    verdicts, models = set(), 0
+    for a in _differential_corpus():
+        tree = vkp.oracle._prove(vkp.oracle._Sequent(), a)
+        if not isinstance(tree, tuple):
+            continue
+        atoms = sorted(atoms_of(a))
+        m, models = tree_model(tree, atoms), models + 1
+        assert m == reference_tree_model(tree, atoms), a
+        assert is_valid_model(m) and reference_is_valid_model(m), a
+        for _ in range(3):  # faults that get past the range checks
+            bad = _altered(rng, m)
+            verdicts.add(is_valid_model(bad))
+            assert is_valid_model(bad) == reference_is_valid_model(bad), (a, bad)
+    assert models > 1000 and verdicts == {True, False}
 
 
 def test_forces_and_atoms_of_run_without_recursion(default_recursion_limit):
