@@ -16,21 +16,17 @@ A compound node's type is kept on the node, in the hidden `_ty` slot, and
 the scope it was typed under in `_scope`: the pair (calculus, context),
 one object per context that every node typed under it shares, so an entry
 costs no object of its own.  A node met again, in this call or a later
-one, reuses its type when the calculus is the same and the context agrees
-with the kept one on every free variable of the node: the same dict or the
-same entries, or else the same formula for each free variable (they are
-asked for only then).  That is sound because a node's type is a function
-of the node, the calculus and the formulas of its free variables alone.
-It rests on contexts never being changed once `infer` has built them:
-`infer` copies the caller's context once at the root, and a binder gets a
-new dict.  So re-checking a reduct or a normal form costs its rebuilt
-spine, and since scripts inline definitions as shared nodes, `check` is
-linear in a script's size.
+one, reuses its type when the calculus is the same and the context gives
+each free variable of the node the formula the kept context gave it.
+That is sound because a node's type is a function of the node, the
+calculus and the formulas of its free variables alone.  It rests on a
+kept context never being changed: `infer` copies the caller's context
+once at the root, and a binder gets a new dict.  So re-checking a reduct
+or a normal form costs its rebuilt spine, and since scripts inline
+definitions as shared nodes, `check` is linear in a script's size.
 """
 
 from __future__ import annotations
-
-from operator import is_
 
 from .syntax import (
     Abs, App, Atom, Case, Conj, Disj, Exfalso, Falsum, Formula, Harrop, Impl, Inj,
@@ -216,7 +212,7 @@ def infer(ctx: TypingContext, t: Term, calculus: str = "IPC") -> Formula:
                 node = node.arg
                 break
             elif stage == 3:
-                if ty is not kept.left and not _same(ty, kept.left):
+                if not _same(ty, kept.left):
                     raise TypeMismatch(kept.left, ty)
                 ty = kept.right
             elif stage == 4:
@@ -247,7 +243,7 @@ def infer(ctx: TypingContext, t: Term, calculus: str = "IPC") -> Formula:
                 node, sc = node.branch2, (calculus, _child_context(node, 2, sc[1], kept))
                 break
             else:  # branch2's, then each visser app branch's in turn; kept is branch1's
-                if ty is not kept and not _same(ty, kept):
+                if not _same(ty, kept):
                     raise BranchTypeMismatch(kept, ty)
                 j = stage - 9  # the app branch to type next
                 if isinstance(node, Visser) and j < len(node.binders):
@@ -269,20 +265,13 @@ _keep_type, _keep_scope = Term._ty.__set__, Term._scope.__set__
 def _holds(was: tuple, now: tuple, node: Term) -> bool:
     """Whether the type node had in scope was holds in scope now, each a
     (calculus, context) pair: the same calculus, and a context that gives
-    every free variable of node the formula was gave it.  The same scope, or
-    contexts with the same entries in the same order, settle it without
-    asking for node's free variables."""
-    if was is now:
-        return True
+    every free variable of node the formula was gave it."""
     if was[0] != now[0]:
         return False
     old, cx = was[1], now[1]
-    if len(old) == len(cx) and all(map(is_, old.values(), cx.values())) \
-            and list(old) == list(cx):
-        return True
     for x in free_vars(node):
         a = cx.get(x)
-        if a is None or not (a is old[x] or _same(a, old[x])):
+        if a is None or not _same(a, old[x]):
             return False
     return True
 

@@ -185,10 +185,11 @@ def test_budget_env(tmp_path, monkeypatch, capsys):
 
 
 def test_budget_env_rejects_garbage(monkeypatch, capsys):
-    monkeypatch.setenv("VKP_BUDGET", "zero")
-    assert main(["normalize", IPC, "beta_demo"]) == 2
-    err = capsys.readouterr().err
-    assert err == "vkp: VKP_BUDGET must be a positive integer, got 'zero'\n"
+    for raw in ("zero", "0", "-3"):
+        monkeypatch.setenv("VKP_BUDGET", raw)
+        assert main(["normalize", IPC, "beta_demo"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"vkp: VKP_BUDGET must be a positive integer, got {raw!r}\n"
 
 
 def test_extract(capsys):

@@ -91,6 +91,9 @@ def test_classify_rejects_non_normal():
     t = App(Abs("x", A, Var("x")), Abs("y", A, Var("y")))
     with pytest.raises(PreconditionViolation):
         classify({}, App(Abs("x", Impl(A, A), Var("x")), t), "V")
+    redex = App(Abs("x", Impl(A, A), Var("x")), Abs("y", A, Var("y")))  # typed, not normal
+    with pytest.raises(PreconditionViolation, match="^term is not normal$"):
+        classify({}, redex, "V")
 
 
 def test_classify_rejects_ill_typed():

@@ -207,6 +207,10 @@ def test_visser_stuck_main_var_not_a_binder():
     stuck = Visser(t.binders, Var("x1"), t.case_binder, t.branch1, t.branch2,
                    t.app_binder, t.app_branches)
     assert step_top_named(stuck, "V") is None
+    # unchecked, with main f a: f heads an application but binds nothing here
+    stuck = Visser(t.binders, App(Var("f"), Var("a")), t.case_binder, t.branch1,
+                   t.branch2, t.app_binder, t.app_branches)
+    assert step_top_named(stuck, "V") is None
 
 
 def test_step_top_calculus_gate():

@@ -92,6 +92,8 @@ def test_calculus_gating():
     for cal in ("IPC", "KP"):
         with pytest.raises(CalculusViolation):
             infer({}, vis, cal)
+    with pytest.raises(ValueError, match="unknown calculus 'LJ'"):
+        infer({}, vis, "LJ")
 
 
 def test_gating_sees_nested_nodes():
@@ -411,6 +413,20 @@ def test_a_context_dict_changed_between_checks_is_followed():
     u = Pair(Var("a"), Var("b"))
     assert infer({"a": P, "b": Q}, u) == Conj(P, Q)
     assert infer({"b": P, "a": Q}, u) == Conj(Q, P)
+
+
+def test_a_kept_type_is_reused_under_an_equal_context():
+    ctx = {"x": P, "y": Q}
+    t = Abs("z", Q, Pair(Var("x"), Pair(Var("y"), Var("z"))))
+    a = Impl(Q, Conj(P, Conj(Q, Q)))
+    check(ctx, t, a)
+    kept = t._ty
+    for again in (dict(ctx), {**ctx, "unused": Q}):
+        check(again, t, a)
+        assert t._ty is kept  # a retyped fun would build a new Impl
+    changed = {**ctx, "x": Q}
+    assert _outcome(infer, changed, t, "IPC") == _outcome(reference_infer, changed, t, "IPC")
+    assert t._ty is not kept
 
 
 def test_reducts_of_a_checked_term_answer_as_the_recursive_checker():
