@@ -16,7 +16,8 @@ source.
 
 Everything is driven by one random.Random(seed); equal seeds give equal
 output.  Choices over context entries go through sorted lists, never raw
-dict or set iteration.
+dict or set iteration.  Equal atom leaves are one object: one Atom per name
+of ATOM_NAMES is shared, which draws nothing.
 
 The context is indexed once, when it is built: `_Ctx` keeps the entries
 that each kind of move can use, keyed by the formula the move must match,
@@ -40,6 +41,7 @@ from .typecheck import _curried, checks
 from .normalize import InternalError
 
 ATOM_NAMES = ("p", "q", "r", "s", "a", "b", "c", "d")
+_ATOMS = {n: Atom(n) for n in ATOM_NAMES}  # the shared leaves, see above
 CTX_SHAPES = ("any", "implicative", "negated")
 
 
@@ -63,12 +65,13 @@ class _GenState:
         return f"v{self.counter}"
 
 
+def _atom(name: str) -> Atom:
+    return _ATOMS.get(name) or Atom(name)  # a fresh Atom for any other name
+
+
 def _formula(rng: random.Random, depth: int, atoms) -> Formula:
-    if depth <= 0:
-        return FALSUM if rng.random() < 0.08 else Atom(rng.choice(atoms))
-    roll = rng.random()
-    if roll < 0.20:
-        return FALSUM if rng.random() < 0.08 else Atom(rng.choice(atoms))
+    if depth <= 0 or (roll := rng.random()) < 0.20:  # a leaf; no roll at depth 0
+        return FALSUM if rng.random() < 0.08 else _atom(rng.choice(atoms))
     l = _formula(rng, depth - 1, atoms)
     r = _formula(rng, depth - 1, atoms)
     if roll < 0.52:
@@ -345,7 +348,7 @@ def _try_harrop(st, ctx, goal, depth, calculus):
 def _try_visser(st, ctx, goal, depth, calculus):
     rng = st.rng
     template = rng.choice(("inj", "efq", "app"))
-    p0 = Atom(st.atoms[0])
+    p0 = _atom(st.atoms[0])
     ident_ty = Impl(p0, p0)
     xa = st.fresh()
     ident = Abs(xa, p0, Var(xa))

@@ -96,7 +96,15 @@ def step_top_named(t: Term, calculus: str = "IPC", ctx: TypingContext | None = N
     first, of a term whose context is ctx; with no frames, ctx is t's own.
     Only Harrop-efq reads binder types, so only it works out t's context
     from the two (_context).
+
+    Only an App of an Abs, a Proj of a Pair, a Case on an Inj, a visser or
+    a hop passes the class test to the match, so a visser outside V and a
+    hop outside KP still raise CalculusViolation.
     """
+    cls = type(t)
+    if not (cls is App and type(t.fun) is Abs or cls is Proj and type(t.arg) is Pair
+            or cls is Case and type(t.scrutinee) is Inj or cls is Visser or cls is Harrop):
+        return None
     ctx = ctx if ctx is not None else {}
     match t:
         case App(Abs(x, _, b), a):

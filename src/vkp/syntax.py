@@ -20,6 +20,12 @@ compound node and the (calculus, context) pair it was typed under (see
 its bare printed text once `print_formula` has printed it at top level
 (see `vkp.parser`).  No slot is a dataclass field, so equality, hashing,
 repr and the index form do not see them.
+
+A node class with fields is a frozen dataclass with slots whose `__init__`
+sets each field through its slot's own setter, not the frozen guard's
+`object.__setattr__` (252 against 381 ns for an App on Python 3.11), then
+runs the class's check.  Presetting the hidden slots to None cost prove
+about 4% of its items per second.
 """
 
 from __future__ import annotations
@@ -30,6 +36,23 @@ from itertools import chain
 from operator import eq
 
 
+def _node(cls):
+    """cls as a frozen dataclass with slots and the `__init__` above, put on
+    cls first, so the dataclass makes none (init=False) yet reads its
+    signature for the default docstring; the slots' setters come after."""
+    names = list(cls.__annotations__)  # the fields, in order
+    env = {"__name__": __name__}  # the globals of __init__, which gain the setters
+    sets = "".join(f"\n    _set_{n}(self, {n})" for n in names)
+    check = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+    exec(f"def __init__(self, {', '.join(names)}):{sets}{check}", env)
+    init = cls.__init__ = env["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {**cls.__annotations__, "return": None}
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    env.update((f"_set_{n}", getattr(cls, n).__set__) for n in names)
+    return cls
+
+
 # ---------------------------------------------------------------- formulas
 
 
@@ -37,7 +60,7 @@ class Formula:
     __slots__ = ("_text",)  # the text print_formula kept, see above
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Atom(Formula):
     name: str
 
@@ -47,19 +70,19 @@ class Falsum(Formula):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Impl(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Conj(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Disj(Formula):
     left: Formula
     right: Formula
@@ -88,25 +111,25 @@ class Term:
     __slots__ = ("_fv", "_ty", "_scope")  # the caches of free_vars and infer, see above
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class App(Term):
     fun: Term
     arg: Term
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Abs(Term):
     binder: str
     annot: Formula
     body: Term
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Exfalso(Term):
     """Ex falso quodlibet; target records the type being produced."""
 
@@ -114,13 +137,13 @@ class Exfalso(Term):
     arg: Term
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Pair(Term):
     fst: Term
     snd: Term
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Proj(Term):
     index: int  # 1 or 2
     arg: Term
@@ -130,7 +153,7 @@ class Proj(Term):
             raise ValueError(f"projection index must be 1 or 2, got {self.index}")
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Inj(Term):
     """Injection into a disjunction; `other` is the absent disjunct."""
 
@@ -143,7 +166,7 @@ class Inj(Term):
             raise ValueError(f"injection index must be 1 or 2, got {self.index}")
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Case(Term):
     """Disjunction elimination; binder is shared by both branches."""
 
@@ -153,7 +176,7 @@ class Case(Term):
     branch2: Term
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Visser(Term):
     """Case split on a disjunction proved from implication hypotheses alone.
 
@@ -187,7 +210,7 @@ class Visser(Term):
                 raise ValueError(f"visser binder {n} must be annotated with an implication")
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Harrop(Term):
     """Case split on a disjunction proved under one negated hypothesis."""
 
@@ -263,6 +286,7 @@ _SHAPES: dict[type, _Shape] = {
                    lambda t: (((t.binder,), (0,)), ((t.case_binder,), (1, 2))),
                    lambda t: ("hop", t.annot)),
 }
+_CHILDREN = {cls: shape.children for cls, shape in _SHAPES.items()}  # for children's one lookup
 
 
 def _shape(t: Term) -> _Shape:
@@ -273,7 +297,10 @@ def _shape(t: Term) -> _Shape:
 
 
 def children(t: Term) -> tuple[Term, ...]:
-    return _shape(t).children(t)
+    try:
+        return _CHILDREN[type(t)](t)
+    except KeyError:  # no row reads a key, so t's class has none
+        raise TypeError(f"not a term: {t!r}") from None
 
 
 def with_children(t: Term, new: tuple[Term, ...]) -> Term:

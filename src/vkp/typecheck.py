@@ -132,6 +132,8 @@ def _child_context(node: Term, i: int, ctx: TypingContext,
 def _same(a: Formula, b: Formula) -> bool:
     """a == b from an explicit stack, so no depth hits the recursion limit.
     The walk goes down left children and stacks the right ones."""
+    if a is b:  # answered before any stack is built
+        return True
     todo = [(a, b)]
     while todo:
         a, b = todo.pop()

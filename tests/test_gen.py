@@ -1,6 +1,7 @@
 """The generator's seeded output, its context index, its classical check,
 and the shrinker."""
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -15,7 +16,7 @@ from vkp.gen import (
 )
 from vkp.kripke import KripkeModel, atoms_of, forces
 from vkp.oracle import Provable, ipc_provable
-from vkp.syntax import FALSUM, Atom, Conj, Disj, Falsum, Impl
+from vkp.syntax import FALSUM, Atom, Conj, Disj, Falsum, Formula, Impl, Term
 from vkp.typecheck import check
 
 from shrink import shrink_typed
@@ -195,3 +196,31 @@ def test_goal_past_the_table_is_searched(monkeypatch):
     goal = Disj(Impl(wide[0], wide[0]), conj)
     ctx, t, a = generate_typed("IPC", max_depth=4, seed=0, goal=goal, closed=True)
     check(ctx, t, goal, "IPC")
+
+
+def _atom_leaves(*roots):
+    """Every Atom object in the formulas and terms below roots, once per
+    occurrence, read from the dataclass fields."""
+    out, todo = [], list(roots)
+    while todo:
+        u = todo.pop()
+        if isinstance(u, Atom):
+            out.append(u)
+        elif isinstance(u, (Formula, Term)):
+            todo += [getattr(u, f.name) for f in dataclasses.fields(u)]
+        elif isinstance(u, (tuple, dict)):
+            todo += u.values() if isinstance(u, dict) else u
+    return out
+
+
+def test_equal_atom_leaves_are_one_object():
+    shared = 0
+    for calc in ("IPC", "KP", "V"):
+        for s in range(10):
+            ctx, t, a = generate_typed(calc, max_depth=5, atom_count=3, seed=s)
+            leaves = _atom_leaves(ctx, t, a)
+            assert len({id(x) for x in leaves}) == len({x.name for x in leaves})
+            shared += len(leaves) - len({x.name for x in leaves})
+    assert shared > 100, shared
+    # a name outside ATOM_NAMES gets a fresh Atom
+    assert _formula(random.Random(0), 0, ("z",)) is not _formula(random.Random(0), 0, ("z",))

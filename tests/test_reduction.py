@@ -1,5 +1,6 @@
 """Decomposition, the single-step rules, positions, and the head strategy."""
 
+import hashlib
 import random
 from collections import Counter
 
@@ -18,7 +19,7 @@ from vkp.normalize import TraceStep, step_weak_head_named
 from vkp.syntax import (
     Abs, App, Atom, Case, Conj, Disj, Exfalso, FALSUM, Harrop, Impl, Inj,
     Pair, Proj, Var, Visser, CALCULI, alpha_eq, children, neg, subterm_at,
-    _plug,
+    with_children, _plug,
 )
 from vkp.typecheck import CalculusViolation, UnknownVariable, _child_context, infer
 
@@ -525,3 +526,62 @@ def test_harrop_efq_reads_each_binder_kind_from_its_frames():
                 with pytest.raises(UnknownVariable):  # the binder is not in ctx
                     step_top_named(sub, "KP", ctx)
         assert efq == (2 if name in ("case branch", "hop branch") else 1), name
+
+
+# --------------------------------------------- the classes a rule can fire at
+
+NH = Impl(Impl(A, A), FALSUM)  # h's formula, and the one visser binder's
+ID = Abs("x", A, Var("x"))
+# One small node per term class, to stand as child 0: each is closed under h.
+CHILD0 = [
+    Var("h"), App(Var("h"), ID), ID, Exfalso(Disj(A, B), App(Var("h"), ID)),
+    Pair(Var("h"), Var("h")), Proj(1, Var("h")), Inj(1, B, Var("h")),
+    Case(Var("h"), "y", Var("y"), Var("y")),
+    Visser((("h", NH),), Var("h"), "y", Var("y"), Var("y"), "z", (Var("z"),)),
+    Harrop("x", neg(B), Var("h"), "y", Var("y"), Var("y")),
+]
+# One node per class with a child 0, whose child 0 each of CHILD0 replaces.
+PARENTS = [
+    App(Var("h"), Var("h")), Abs("w", A, Var("h")), Exfalso(A, Var("h")),
+    Pair(Var("h"), Var("h")), Proj(2, Var("h")), Inj(2, A, Var("h")),
+    Case(Var("h"), "y", Var("y"), Var("y")),
+    Visser((("h", NH),), Var("h"), "y", Var("y"), Var("y"), "z", (Var("z"),)),
+    Harrop("x", neg(B), Var("h"), "y", Var("y"), Var("y")),
+]
+# The rule each (node class, child-0 class) pair fires; a visser outside V
+# and a hop outside KP raise whatever their child 0, and every other pair
+# is no redex.
+FIRES = {(App, Abs): "Beta", (Proj, Pair): "Projection", (Case, Inj): "Case",
+         (Visser, Inj): "Visser-inj", (Visser, Exfalso): "Visser-efq",
+         (Visser, App): "Visser-app", (Harrop, Inj): "Harrop-inj",
+         (Harrop, Exfalso): "Harrop-efq"}
+GATED = {Visser: "V", Harrop: "KP"}
+# sha256 of the repr of every answer below, in order, as the match over all
+# five shapes gave it before the class test ruled non-redexes out
+ANSWERS = "376fe2f962dbd1dc2cd4a754a18a44f4a9d783a8103f9ddd27bb9ea0f3419cf4"
+
+
+def test_step_top_named_rules_out_non_redexes_by_class():
+    h = hashlib.sha256()
+    for calc in CALCULI:
+        for parent in PARENTS:
+            for c in CHILD0:
+                t = with_children(parent, (c,) + children(parent)[1:])
+                pair = (type(t), type(c))
+                try:
+                    got = step_top_named(t, calc, {"h": NH})
+                except CalculusViolation:
+                    assert GATED.get(type(t), calc) != calc, (pair, calc)
+                    h.update(b"gated\n")
+                    continue
+                assert GATED.get(type(t), calc) == calc, (pair, calc)
+                assert (got and got[1]) == FIRES.get(pair), (pair, calc)
+                h.update((repr(got) + "\n").encode())
+    assert h.hexdigest() == ANSWERS
+    # no redex, and still gated
+    with pytest.raises(CalculusViolation):
+        step_top_named(PARENTS[-2], "IPC")
+    with pytest.raises(CalculusViolation):
+        step_top_named(PARENTS[-1], "V")
+    assert step_top_named(PARENTS[-2], "V") is None
+    assert step_top_named(PARENTS[-1], "KP") is None

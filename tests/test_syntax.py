@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import inspect
 import itertools
 import random
 
@@ -13,12 +14,12 @@ from vkp.gen import CTX_SHAPES, GenerationFailed, generate_typed
 from vkp.normalize import normalize_full
 from vkp.parser import print_term
 from vkp.syntax import (
-    Abs, App, Atom, CALCULI, Case, Exfalso, FALSUM, Harrop, Impl,
-    Inj, Pair, Proj, Term, Var, Visser, alpha_eq, children,
+    Abs, App, Atom, CALCULI, Case, Conj, Disj, Exfalso, FALSUM, Formula, Harrop,
+    Impl, Inj, Pair, Proj, Term, Var, Visser, alpha_eq, children,
     free_vars, fresh_name, nameless, neg, replace_at, subterm_at, substitute,
     term_depth, term_size, with_children,
 )
-from vkp.typecheck import check, checks
+from vkp.typecheck import check, checks, infer
 
 A = Atom("A")
 B = Atom("B")
@@ -495,24 +496,27 @@ def test_replace_at_shares_what_it_keeps():
 
 
 def test_constructor_validation():
-    import pytest
-    with pytest.raises(ValueError):
-        Visser((), Var("x"), "y", Var("y"), Var("y"), "z", ())
-    with pytest.raises(ValueError):
-        Visser((("a", Atom("A")),), Var("a"), "y", Var("y"), Var("y"),
-               "z", (Var("z"),))
-    with pytest.raises(ValueError):
-        Visser((("a", Impl(A, B)), ("a", Impl(A, B))), Var("a"),
-               "y", Var("y"), Var("y"), "z", (Var("z"), Var("z")))
-    with pytest.raises(ValueError):
-        Visser((("a", Impl(A, B)),), Var("a"), "y", Var("y"), Var("y"),
-               "z", (Var("z"), Var("z")))  # arity mismatch
-    with pytest.raises(ValueError):
-        Harrop("x", Atom("B"), Var("x"), "y", Var("y"), Var("y"))
-    with pytest.raises(ValueError):
-        Proj(3, Var("x"))
-    with pytest.raises(ValueError):
-        Inj(0, A, Var("x"))
+    bad = [
+        (lambda: Visser((), Var("x"), "y", Var("y"), Var("y"), "z", ()),
+         "visser needs at least one binder"),
+        (lambda: Visser((("a", Atom("A")),), Var("a"), "y", Var("y"), Var("y"),
+                        "z", (Var("z"),)),
+         "visser binder a must be annotated with an implication"),
+        (lambda: Visser((("a", Impl(A, B)), ("a", Impl(A, B))), Var("a"),
+                        "y", Var("y"), Var("y"), "z", (Var("z"), Var("z"))),
+         "visser binder names must be distinct: ['a', 'a']"),
+        (lambda: Visser((("a", Impl(A, B)),), Var("a"), "y", Var("y"), Var("y"),
+                        "z", (Var("z"), Var("z"))),
+         "visser has 1 binders but 2 app branches"),
+        (lambda: Harrop("x", Atom("B"), Var("x"), "y", Var("y"), Var("y")),
+         "hop binder must be annotated with a negation"),
+        (lambda: Proj(3, Var("x")), "projection index must be 1 or 2, got 3"),
+        (lambda: Inj(0, A, Var("x")), "injection index must be 1 or 2, got 0"),
+    ]
+    for build, message in bad:
+        with pytest.raises(ValueError) as e:
+            build()
+        assert str(e.value) == message
 
 
 # ------------------------------------------------------------ shape table
@@ -537,6 +541,42 @@ LAYOUT = [
     (Harrop("x", neg(B), Var("m"), "y", Var("y"), Var("c")),
      (Var("m"), Var("y"), Var("c")), [("x",), ("y",), ("y",)]),
 ]
+
+
+def test_every_node_is_built_as_a_frozen_dataclass_of_its_fields():
+    formulas = [A, FALSUM, Impl(A, B), Conj(A, B), Disj(A, B)]
+    nodes = formulas + [t for t, _, _ in LAYOUT]
+    assert {type(n) for n in nodes} == {
+        c for c in vars(vkp.syntax).values() if isinstance(c, type)
+        and issubclass(c, (Term, Formula)) and c not in (Term, Formula)}
+    for n in nodes:
+        cls, fs = type(n), dataclasses.fields(n)
+        values = [getattr(n, f.name) for f in fs]
+        by_position, by_name = cls(*values), cls(**{f.name: v for f, v in zip(fs, values)})
+        assert by_position == by_name == n
+        assert repr(by_position) == repr(by_name) == repr(n)
+        assert hash(by_position) == hash(by_name) == hash(n)
+        for f in fs:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(n, f.name, values[0])
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(n, f.name)
+        params = inspect.signature(cls).parameters
+        assert [(p, params[p].annotation) for p in params] == [(f.name, f.type) for f in fs]
+        assert cls.__match_args__ == tuple(params)
+        # the class's own docstring, or the dataclass text of its fields
+        text = cls.__name__ + str(inspect.signature(cls)).replace(" -> None", "")
+        assert cls.__doc__ == text or not cls.__doc__.startswith(cls.__name__ + "(")
+        if fs:  # every class but Falsum
+            with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__init__\(\) missing"):
+                cls()
+        if isinstance(n, Term):  # a new node has none of the hidden slots yet
+            assert not any(hasattr(by_position, s) for s in ("_ty", "_scope", "_fv")), cls
+    t = App(Abs("x", A, Var("x")), Var("a"))
+    free_vars(t)
+    assert hasattr(t, "_fv") and not hasattr(t, "_ty")
+    infer({"a": A}, t)
+    assert t._ty == A and t._scope[0] == "IPC"
 
 
 def test_shape_table_has_a_row_per_term_class():
